@@ -39,18 +39,9 @@ fn pool_config(cooldown_ms: f64) -> PoolConfig {
 }
 
 fn fleet(spec: &GpuSpec, graph: &Csr, max_queue: usize, cooldown_ms: f64) -> FleetBatcher {
-    let gpus = vec![
-        Gpu::new(spec.clone()),
-        Gpu::new(spec.clone()),
-        Gpu::new(spec.clone()),
-    ];
-    let pool = ReplicaPool::new(
-        gpus,
-        graph,
-        vec![app(), app(), app()],
-        pool_config(cooldown_ms),
-    )
-    .expect("bench graph fits on every replica");
+    let devices = (0..3).map(|_| (Gpu::new(spec.clone()), app())).collect();
+    let pool = ReplicaPool::new(devices, graph, pool_config(cooldown_ms))
+        .expect("bench graph fits on every replica");
     FleetBatcher::new(
         pool,
         ServeConfig {
@@ -67,9 +58,8 @@ fn fleet(spec: &GpuSpec, graph: &Csr, max_queue: usize, cooldown_ms: f64) -> Fle
 /// (and with it the fleet clock's tick per batch) varies across specs.
 fn calibrate_batch_ms(spec: &GpuSpec, graph: &Csr, inits: &[Vec<Vec<VertexId>>], seed: u64) -> f64 {
     let pool = ReplicaPool::new(
-        vec![Gpu::new(spec.clone())],
+        vec![(Gpu::new(spec.clone()), app())],
         graph,
-        vec![app()],
         PoolConfig::default(),
     )
     .expect("bench graph fits on the calibration replica");

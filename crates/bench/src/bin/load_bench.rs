@@ -201,9 +201,8 @@ fn samples_hash(store: &nextdoor_core::SampleStore) -> u64 {
 /// whole queue and drown the overload signal this bench is about).
 fn load_fleet(spec: &GpuSpec, g: &Csr, cfg: &ServeConfig, batch_ms: f64) -> FleetBatcher {
     let pool = ReplicaPool::new(
-        vec![Gpu::new(spec.clone())],
+        vec![(Gpu::new(spec.clone()), app())],
         g,
-        vec![app()],
         PoolConfig {
             max_retries: 24,
             backoff_base_ms: batch_ms / 16.0,

@@ -32,7 +32,7 @@ use crate::engine::kernels::{
     block_class_work, charge_step_transits, grid_class_work, run_sample_parallel_kernel,
     run_subwarp_kernel, run_transit_block_kernel, BlockWork, StepExec, StepOut,
 };
-use crate::engine::scheduling::{build_scheduling_index_tuned, partition_kernel_classes_tuned};
+use crate::engine::scheduling::{build_scheduling_index, partition_kernel_classes};
 use crate::engine::{
     finish_step, plan_step, step_budget, unique, EngineStats, RunResult, SampleKeys, StepPlan,
 };
@@ -113,15 +113,14 @@ pub(crate) fn exec_step(
                 let (index, classes) = match memo {
                     Some(hit) => hit,
                     None => {
-                        let index = build_scheduling_index_tuned(
+                        let index = build_scheduling_index(
                             gpu,
                             &pairs,
                             ex.graph.num_vertices(),
                             tuning.tight_key_range,
                         )?;
-                        let classes = partition_kernel_classes_tuned(
-                            gpu, &index, plan.m, sub_warp, max_block,
-                        )?;
+                        let classes =
+                            partition_kernel_classes(gpu, &index, plan.m, sub_warp, max_block)?;
                         if let Some(c) = cache.as_deref_mut() {
                             c.store_sched(&pairs, plan.m, sub_warp, max_block, &index, &classes);
                         }
@@ -146,7 +145,7 @@ pub(crate) fn exec_step(
             GpuEngineKind::VanillaTp => {
                 let pairs = live_pairs(plan, ns);
                 let c0 = gpu.counters().cycles;
-                let index = build_scheduling_index_tuned(
+                let index = build_scheduling_index(
                     gpu,
                     &pairs,
                     ex.graph.num_vertices(),
@@ -170,7 +169,7 @@ pub(crate) fn exec_step(
                 GpuEngineKind::NextDoor | GpuEngineKind::VanillaTp => {
                     let pairs = live_pairs(plan, ns);
                     let c0 = gpu.counters().cycles;
-                    let index = build_scheduling_index_tuned(
+                    let index = build_scheduling_index(
                         gpu,
                         &pairs,
                         ex.graph.num_vertices(),

@@ -46,7 +46,11 @@ pub struct KernelClasses {
 /// Builds the transit→samples map on the simulated GPU.
 ///
 /// `pairs` holds `(transit, pair_id)` with NULL transits already removed;
-/// `num_vertices` bounds the radix-sort key range.
+/// `num_vertices` bounds the radix-sort key range. With the tuner's
+/// `tight_key_range` knob the radix sort is instead bounded by the maximum
+/// transit id actually live this step. A tighter bound can only shed whole
+/// radix passes; the sort is stable and its output — and therefore every
+/// sample — is identical (see [`TuningPlan`](crate::tuning::TuningPlan)).
 ///
 /// # Errors
 ///
@@ -54,26 +58,6 @@ pub struct KernelClasses {
 /// through a scripted fault (see [`nextdoor_gpu::FaultPlan`]); the step
 /// loop absorbs injected faults and retries the step.
 pub fn build_scheduling_index(
-    gpu: &mut Gpu,
-    pairs: &[(VertexId, u32)],
-    num_vertices: usize,
-) -> Result<SchedulingIndex, OutOfMemory> {
-    build_scheduling_index_tuned(gpu, pairs, num_vertices, false)
-}
-
-/// [`build_scheduling_index`] with the tuner's key-range knob.
-///
-/// With `tight_key_range` the radix sort is bounded by the maximum transit
-/// id actually live this step instead of `num_vertices - 1`. A tighter
-/// bound can only shed whole radix passes; the sort is stable and its
-/// output — and therefore every sample — is identical (see
-/// [`TuningPlan`](crate::tuning::TuningPlan)).
-///
-/// # Errors
-///
-/// Returns [`OutOfMemory`] when a device allocation fails — genuinely or
-/// through a scripted fault.
-pub fn build_scheduling_index_tuned(
     gpu: &mut Gpu,
     pairs: &[(VertexId, u32)],
     num_vertices: usize,
@@ -138,32 +122,18 @@ pub fn build_scheduling_index_tuned(
 /// number of threads each needs (`count × m`), charging the scan-based
 /// partition pass the paper describes.
 ///
+/// A transit is sub-warp work when it needs at most `sub_warp_threshold`
+/// threads (at most [`WARP_SIZE`], the untuned value — the sub-warp kernel
+/// packs a transit's lanes into one warp). Moving the threshold re-assigns
+/// transits between kernel classes; the classes execute the same
+/// `(sample, slot)` lanes with the same RNG keying, so samples are
+/// unchanged.
+///
 /// # Errors
 ///
 /// Returns [`OutOfMemory`] when a device allocation fails — genuinely or
 /// through a scripted fault.
 pub fn partition_kernel_classes(
-    gpu: &mut Gpu,
-    index: &SchedulingIndex,
-    m: usize,
-    max_block_threads: usize,
-) -> Result<KernelClasses, OutOfMemory> {
-    partition_kernel_classes_tuned(gpu, index, m, WARP_SIZE, max_block_threads)
-}
-
-/// [`partition_kernel_classes`] with the tuner's sub-warp threshold.
-///
-/// A transit is sub-warp work when it needs at most `sub_warp_threshold`
-/// threads (at most [`WARP_SIZE`] — the sub-warp kernel packs a transit's
-/// lanes into one warp). Moving the threshold re-assigns transits between
-/// kernel classes; the classes execute the same `(sample, slot)` lanes
-/// with the same RNG keying, so samples are unchanged.
-///
-/// # Errors
-///
-/// Returns [`OutOfMemory`] when a device allocation fails — genuinely or
-/// through a scripted fault.
-pub fn partition_kernel_classes_tuned(
     gpu: &mut Gpu,
     index: &SchedulingIndex,
     m: usize,
@@ -233,7 +203,7 @@ mod tests {
     fn index_groups_pairs_by_transit() {
         let mut g = gpu();
         let pairs = vec![(5u32, 0u32), (3, 1), (5, 2), (3, 3), (9, 4), (5, 5)];
-        let idx = build_scheduling_index(&mut g, &pairs, 16).unwrap();
+        let idx = build_scheduling_index(&mut g, &pairs, 16, false).unwrap();
         assert_eq!(idx.segments.len(), 3);
         assert_eq!(
             idx.segments[0],
@@ -253,7 +223,7 @@ mod tests {
     #[test]
     fn empty_pairs_yield_empty_index() {
         let mut g = gpu();
-        let idx = build_scheduling_index(&mut g, &[], 16).unwrap();
+        let idx = build_scheduling_index(&mut g, &[], 16, false).unwrap();
         assert!(idx.segments.is_empty());
         assert!(idx.sorted_pair_ids.is_empty());
     }
@@ -262,7 +232,7 @@ mod tests {
     fn single_transit_many_samples() {
         let mut g = gpu();
         let pairs: Vec<(u32, u32)> = (0..100).map(|i| (7u32, i)).collect();
-        let idx = build_scheduling_index(&mut g, &pairs, 16).unwrap();
+        let idx = build_scheduling_index(&mut g, &pairs, 16, false).unwrap();
         assert_eq!(idx.segments.len(), 1);
         assert_eq!(idx.segments[0].count, 100);
         assert_eq!(idx.sorted_pair_ids, (0..100).collect::<Vec<_>>());
@@ -282,14 +252,14 @@ mod tests {
         for i in 0..2000u32 {
             pairs.push((3u32, 1000 + i));
         }
-        let idx = build_scheduling_index(&mut g, &pairs, 8).unwrap();
-        let classes = partition_kernel_classes(&mut g, &idx, 1, 1024).unwrap();
+        let idx = build_scheduling_index(&mut g, &pairs, 8, false).unwrap();
+        let classes = partition_kernel_classes(&mut g, &idx, 1, WARP_SIZE, 1024).unwrap();
         assert_eq!(classes.sub_warp.len(), 1);
         assert_eq!(classes.block.len(), 1);
         assert_eq!(classes.grid.len(), 1);
         assert_eq!(idx.segments[classes.grid[0]].transit, 3);
         // With m = 8, the 10-count transit needs 80 threads: block class.
-        let classes = partition_kernel_classes(&mut g, &idx, 8, 1024).unwrap();
+        let classes = partition_kernel_classes(&mut g, &idx, 8, WARP_SIZE, 1024).unwrap();
         assert!(classes.sub_warp.is_empty());
         assert_eq!(classes.block.len(), 2);
     }
@@ -299,7 +269,7 @@ mod tests {
         let mut g = gpu();
         let pairs: Vec<(u32, u32)> = (0..500).map(|i| (i % 50, i)).collect();
         let before = g.counters().launches;
-        let _ = build_scheduling_index(&mut g, &pairs, 64);
+        let _ = build_scheduling_index(&mut g, &pairs, 64, false);
         assert!(
             g.counters().launches >= before + 4,
             "sort passes + flags + compact all launch kernels"

@@ -84,7 +84,7 @@ use crate::engine::{finish_step, plan_step, step_budget, SampleKeys};
 use crate::error::{validate_run, FaultReport, NextDoorError};
 use crate::gpu_graph::GpuGraph;
 use crate::store::SampleStore;
-use nextdoor_gpu::{DeviceBuffer, Gpu, GpuSpec};
+use nextdoor_gpu::{DeviceBuffer, Gpu, GpuSpec, WARP_SIZE};
 use nextdoor_graph::{cluster_vertices, Clustering, Csr, PartitionStats, VertexId};
 
 /// Simulated bytes a hand-off transfers per walker: the walker's global
@@ -821,11 +821,12 @@ fn run_shard_step(
             // the transits it owns: routing is by transit, so a transit's
             // whole segment lands on one shard and the kernel-class split
             // is preserved.
-            let res =
-                build_scheduling_index(gpu, owned, ex.graph.num_vertices()).and_then(|index| {
-                    partition_kernel_classes(gpu, &index, plan.m, 1024)
+            let res = build_scheduling_index(gpu, owned, ex.graph.num_vertices(), false).and_then(
+                |index| {
+                    partition_kernel_classes(gpu, &index, plan.m, WARP_SIZE, 1024)
                         .map(|classes| (index, classes))
-                });
+                },
+            );
             let (index, classes) = match classify(gpu, report, res)? {
                 ShardOp::Got(ic) => ic,
                 ShardOp::Died => return Ok(None),

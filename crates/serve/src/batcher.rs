@@ -1,26 +1,32 @@
-//! Request micro-batching over a persistent [`SamplerSession`].
+//! Request micro-batching: one [`Batcher`] over a pluggable [`Dispatch`]
+//! backend.
 //!
 //! The batcher is the deterministic core of the serving layer: it admits
 //! requests into a bounded queue and, on every drain, forms fused
-//! transit-parallel batches via [`SamplerSession::query_fused`], then
-//! slices results back per request. Fusion is a pure throughput lever —
-//! each request's samples are bit-identical to running it alone, because
-//! the engines key every RNG draw by the request's own `(seed, local id)`
-//! regardless of where the batcher packs it.
+//! transit-parallel batches, hands each to its backend (one warm
+//! [`SamplerSession`] via [`SessionBackend`], or a replicated
+//! [`ReplicaPool`]), then slices results back per request. Fusion is a
+//! pure throughput lever — each request's samples are bit-identical to
+//! running it alone, because the engines key every RNG draw by the
+//! request's own `(seed, local id)` regardless of where the batcher packs
+//! it. [`MicroBatcher`] and [`FleetBatcher`] name the two instantiations.
 //!
 //! **Batch formation** is width-class and deadline aware, not FIFO: the
 //! step planner sizes the shared transit array from one vertices-per-sample
 //! count, so only requests of equal initial width can share a launch. Each
 //! formation picks the globally most *urgent* pending request (earliest
-//! absolute deadline on the simulated clock; [`Priority`] then admission
-//! order break ties), and batches it with the up-to-
+//! absolute deadline on the backend's simulated clock; [`Priority`] then
+//! admission order break ties), and batches it with the up-to-
 //! [`ServeConfig::max_batch`] most urgent requests of its width class — a
 //! lone mismatched-width request no longer head-of-line-blocks everything
 //! behind it into singleton launches. Requests whose deadline has already
 //! expired while queued are shed *before* batch formation, without
-//! consuming device time. All of this is a pure function of the queue
-//! contents and the simulated clock, so serving schedules are bit-identical
-//! at any host thread count.
+//! consuming device time. When the backend reports less than full health
+//! (a pool with replicas down), the batch cap shrinks proportionally and
+//! excess pending requests are shed lowest priority first with
+//! [`ServeError::Overloaded`]; a single session is always fully healthy.
+//! All of this is a pure function of the queue contents and the simulated
+//! clock, so serving schedules are bit-identical at any host thread count.
 //!
 //! All admission control and scheduling is synchronous and deterministic
 //! here; the thread that makes it a service lives in [`crate::server`].
@@ -30,10 +36,15 @@ use std::collections::VecDeque;
 
 use crate::error::ServeError;
 use crate::metrics::ServeMetrics;
+use crate::replica::{FleetReport, PoolResponse, ReplicaPool};
+use crate::server::{BatchEngine, RequestOutcome};
 use crate::trace::{Obs, Span, SpanKind, Tracer};
 use nextdoor_core::session::{SamplerSession, SessionQuery};
 use nextdoor_core::tuning::{CacheConfig, TunerConfig};
-use nextdoor_core::{validate_run, EngineStats, FaultReport, SampleStore};
+use nextdoor_core::{
+    validate_run, ClassMark, EngineStats, FaultReport, NextDoorError, SampleStore,
+};
+use nextdoor_gpu::GpuSpec;
 use nextdoor_graph::VertexId;
 
 /// Scheduling knobs of the serving layer.
@@ -65,10 +76,8 @@ impl ServeConfig {
     /// never serve anything, and a non-positive (or non-finite) default
     /// deadline would reject every request it applied to.
     ///
-    /// [`MicroBatcher::new`] and
-    /// [`FleetBatcher::new`](crate::replica::FleetBatcher::new) call this,
-    /// so a nonsensical configuration is a typed construction error rather
-    /// than silently clamped behaviour.
+    /// [`Batcher::new`] calls this, so a nonsensical configuration is a
+    /// typed construction error rather than silently clamped behaviour.
     ///
     /// # Errors
     ///
@@ -95,13 +104,12 @@ impl ServeConfig {
     }
 }
 
-/// Scheduling priority of a request. Both batchers use it as the tie-break
-/// between equal deadlines when forming batches (`High` is scheduled
-/// before `Normal` before `Low`); the replicated tier
-/// ([`FleetBatcher`](crate::replica::FleetBatcher)) additionally sheds
-/// strictly lowest-priority-first when healthy capacity drops below
-/// demand, so `Low` traffic absorbs degradation before `Normal`, and
-/// `Normal` before `High`.
+/// Scheduling priority of a request. The [`Batcher`] uses it as the
+/// tie-break between equal deadlines when forming batches (`High` is
+/// scheduled before `Normal` before `Low`), and sheds strictly
+/// lowest-priority-first when a backend's healthy capacity (a
+/// [`FleetBatcher`]'s replicas) drops below demand, so `Low` traffic
+/// absorbs degradation before `Normal`, and `Normal` before `High`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
     /// Best-effort traffic: first to be shed under degraded capacity.
@@ -190,27 +198,24 @@ pub struct Response {
     pub report: FaultReport,
 }
 
-/// An admitted request waiting to be served, shared by the single-session
-/// [`MicroBatcher`] and the replicated
-/// [`FleetBatcher`](crate::replica::FleetBatcher).
-pub(crate) struct Pending {
-    pub(crate) id: RequestId,
-    pub(crate) req: Request,
-    /// Simulated-clock instant of admission (session clock or fleet clock,
-    /// depending on the batcher).
-    pub(crate) admit_ms: f64,
+/// An admitted request waiting to be served.
+struct Pending {
+    id: RequestId,
+    req: Request,
+    /// Instant of admission on the backend's simulated clock.
+    admit_ms: f64,
 }
 
 /// The deadline a pending request is held to, if any (its own, else the
 /// configured default), in simulated ms from admission.
-pub(crate) fn deadline_of(cfg: &ServeConfig, p: &Pending) -> Option<f64> {
+fn deadline_of(cfg: &ServeConfig, p: &Pending) -> Option<f64> {
     p.req.deadline_ms.or(cfg.default_deadline_ms)
 }
 
 /// Rejects at admission a request whose own deadline could never be met:
 /// a non-positive budget is already expired before any queueing or
 /// service, and a non-finite one is meaningless.
-pub(crate) fn validate_deadline(req: &Request) -> Result<(), ServeError> {
+fn validate_deadline(req: &Request) -> Result<(), ServeError> {
     if let Some(d) = req.deadline_ms {
         if !d.is_finite() {
             return Err(ServeError::InvalidConfig {
@@ -231,7 +236,7 @@ pub(crate) fn validate_deadline(req: &Request) -> Result<(), ServeError> {
 /// clock first (no deadline sorts last), [`Priority`] (descending) breaks
 /// deadline ties, admission order breaks the rest — so a stream of
 /// deadline-less equal-priority requests is served strictly FIFO.
-pub(crate) fn urgency(cfg: &ServeConfig, a: &Pending, b: &Pending) -> Ordering {
+fn urgency(cfg: &ServeConfig, a: &Pending, b: &Pending) -> Ordering {
     let abs = |p: &Pending| deadline_of(cfg, p).map_or(f64::INFINITY, |d| p.admit_ms + d);
     abs(a)
         .total_cmp(&abs(b))
@@ -239,49 +244,10 @@ pub(crate) fn urgency(cfg: &ServeConfig, a: &Pending, b: &Pending) -> Ordering {
         .then(a.id.cmp(&b.id))
 }
 
-/// Sheds every pending request whose deadline has already expired at `now`
-/// (queue wait alone reached the budget), without consuming any device
-/// time. Remaining requests keep their admission order. Each shed is
-/// recorded as an [`SpanKind::Expired`] span and an `expired_shed` count.
-pub(crate) fn shed_expired(
-    cfg: &ServeConfig,
-    pending: &mut VecDeque<Pending>,
-    now: f64,
-    out: &mut Vec<(RequestId, Result<Response, ServeError>)>,
-    obs: &mut Obs,
-) {
-    let mut i = 0;
-    while i < pending.len() {
-        let expired = deadline_of(cfg, &pending[i]).is_some_and(|d| now - pending[i].admit_ms >= d);
-        if !expired {
-            i += 1;
-            continue;
-        }
-        if let Some(p) = pending.remove(i) {
-            let d = deadline_of(cfg, &p).unwrap_or(0.0);
-            obs.trace.push(
-                Span::new(SpanKind::Expired, p.admit_ms, now)
-                    .request(p.id)
-                    .priority(p.req.priority),
-            );
-            obs.metrics.sim.expired_shed += 1;
-            obs.metrics.priority_mut(p.req.priority).expired_shed += 1;
-            out.push((
-                p.id,
-                Err(ServeError::DeadlineExceeded {
-                    deadline_ms: d,
-                    observed_ms: now - p.admit_ms,
-                }),
-            ));
-        }
-    }
-}
-
 /// Records a served request's lifecycle: its queued interval, its
 /// completion span (`ok` = attained its deadline), the deadline-miss
-/// marker when it finished late, and the latency histograms. Shared by
-/// both batchers so the span model is identical across tiers.
-pub(crate) fn record_served(
+/// marker when it finished late, and the latency histograms.
+fn record_served(
     obs: &mut Obs,
     p: &Pending,
     batch_seq: u64,
@@ -328,203 +294,169 @@ pub(crate) fn record_served(
     }
 }
 
-/// Records a dispatched batch's launch spans: the dispatch interval with
-/// its device launch range, one [`SpanKind::ClassLaunch`] span per width
-/// class (device-clock interval mapped onto the recording tier's clock by
-/// `dev_offset_ms`), and the batch-shape histograms. Shared by both
-/// batchers. `replica` tags the spans on a replicated pool.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn record_dispatch(
+/// Records one [`SpanKind::ClassLaunch`] span per width class of a fused
+/// run (the device-clock interval, converted by the device's `spec`, is
+/// mapped onto the recording tier's clock by `dev_offset_ms`; `replica`
+/// tags it on a replicated pool) and the width-class metrics. Shared by
+/// both backends so launch spans look the same on every tier.
+pub(crate) fn record_class_launches(
     obs: &mut Obs,
     batch_seq: u64,
     replica: Option<usize>,
-    batch_size: usize,
-    start_ms: f64,
-    end_ms: f64,
-    launch_range: (u64, u64),
-    class_marks: &[nextdoor_core::ClassMark],
-    cycles_to_ms: impl Fn(f64) -> f64,
+    marks: &[ClassMark],
+    spec: &GpuSpec,
     dev_offset_ms: f64,
 ) {
-    let mut span = Span::new(SpanKind::Dispatch, start_ms, end_ms)
-        .batch(batch_seq)
-        .batch_size(batch_size)
-        .launches(launch_range)
-        .ok(true);
-    if let Some(r) = replica {
-        span = span.replica(r);
-    }
-    obs.trace.push(span);
-    for m in class_marks {
+    for m in marks {
         let mut s = Span::new(
             SpanKind::ClassLaunch,
-            cycles_to_ms(m.start_cycles) + dev_offset_ms,
-            cycles_to_ms(m.end_cycles) + dev_offset_ms,
+            spec.cycles_to_ms(m.start_cycles) + dev_offset_ms,
+            spec.cycles_to_ms(m.end_cycles) + dev_offset_ms,
         )
         .batch(batch_seq)
         .width(m.width)
         .batch_size(m.queries)
         .launches((m.launch_start, m.launch_end));
-        if let Some(r) = replica {
-            s = s.replica(r);
-        }
+        s.replica = replica;
         obs.trace.push(s);
         obs.metrics.sim.batch_width.observe(m.width as f64);
     }
-    obs.metrics.sim.batches += 1;
-    obs.metrics.sim.class_launches += class_marks.len() as u64;
-    obs.metrics.sim.batch_size.observe(batch_size as f64);
+    obs.metrics.sim.class_launches += marks.len() as u64;
 }
 
-/// Forms the next batch: the globally most urgent pending request anchors
-/// it, and the batch is the up-to-`cap` most urgent requests of the
-/// anchor's width class, in urgency order. Other width classes stay queued
-/// for later formations. Must be called with a non-empty queue.
-pub(crate) fn form_batch(
-    cfg: &ServeConfig,
-    cap: usize,
-    pending: &mut VecDeque<Pending>,
-) -> Vec<Pending> {
-    let anchor_width = pending
-        .iter()
-        .min_by(|a, b| urgency(cfg, a, b))
-        .map_or(0, |p| p.req.init[0].len());
-    let mut class: Vec<usize> = (0..pending.len())
-        .filter(|&i| pending[i].req.init[0].len() == anchor_width)
-        .collect();
-    class.sort_by(|&a, &b| urgency(cfg, &pending[a], &pending[b]));
-    class.truncate(cap.max(1));
-    // Remove back-to-front so earlier indices stay valid, then restore
-    // urgency order within the batch.
-    class.sort_unstable_by(|a, b| b.cmp(a));
-    let mut batch: Vec<Pending> = class
-        .into_iter()
-        .filter_map(|i| pending.remove(i))
-        .collect();
-    batch.sort_by(|a, b| urgency(cfg, a, b));
-    batch
+/// What a [`Batcher`] dispatches fused batches to: one warm session
+/// ([`SessionBackend`]) or a replicated pool ([`ReplicaPool`]). The batcher
+/// owns queueing, admission, shedding, formation and the per-request
+/// fan-out; the backend owns the device(s), the clock they run on and the
+/// span/metrics recorder, so a fleet's trace stays one ordered stream.
+pub trait Dispatch {
+    /// The backend's simulated clock in ms (the session clock or the fleet
+    /// clock): admission instants and deadlines are measured on it.
+    fn now_ms(&self) -> f64;
+
+    /// Checks a request's initial samples against the served graph and
+    /// app (see [`validate_run`]).
+    ///
+    /// # Errors
+    ///
+    /// The typed [`NextDoorError`] of an invalid input.
+    fn validate(&self, init: &[Vec<VertexId>]) -> Result<(), NextDoorError>;
+
+    /// `(healthy, total)` serving units. Below full health the batcher
+    /// shrinks its batch cap and sheds excess requests.
+    fn health(&self) -> (usize, usize);
+
+    /// The span stream and metrics registry every serving event goes to.
+    fn obs(&self) -> &Obs;
+
+    /// Mutable access to [`Dispatch::obs`].
+    fn obs_mut(&mut self) -> &mut Obs;
+
+    /// Runs one fused batch, recording the backend's own dispatch spans
+    /// and batch metrics, and brackets it on the backend's clock.
+    ///
+    /// # Errors
+    ///
+    /// The typed error the whole batch failed with.
+    fn dispatch(&mut self, queries: &[SessionQuery]) -> Result<PoolResponse, ServeError>;
+
+    /// Runs after every formed batch, served or failed. No-op by default.
+    fn after_batch(&mut self) {}
 }
 
-/// Admits sampling requests into a bounded queue and serves them in fused
-/// batches from a persistent session. See the [module docs](self).
-pub struct MicroBatcher {
+/// The single-session backend of a [`MicroBatcher`]: one warm
+/// [`SamplerSession`], its observation state and its launch count.
+pub struct SessionBackend {
     session: SamplerSession,
-    cfg: ServeConfig,
-    pending: VecDeque<Pending>,
-    next_id: u64,
-    launches: u64,
     obs: Obs,
+    launches: u64,
 }
 
-impl MicroBatcher {
-    /// Wraps a warm session in a batcher with the given scheduling knobs.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidConfig`] when the knobs fail
-    /// [`ServeConfig::validate`].
-    pub fn new(session: SamplerSession, cfg: ServeConfig) -> Result<Self, ServeError> {
-        cfg.validate()?;
-        Ok(MicroBatcher {
+impl From<SamplerSession> for SessionBackend {
+    fn from(session: SamplerSession) -> Self {
+        SessionBackend {
             session,
-            cfg,
-            pending: VecDeque::new(),
-            next_id: 0,
-            launches: 0,
             obs: Obs::default(),
-        })
+            launches: 0,
+        }
+    }
+}
+
+impl Dispatch for SessionBackend {
+    fn now_ms(&self) -> f64 {
+        self.session.sim_ms()
     }
 
-    /// Admits a request, or rejects it with backpressure.
-    ///
-    /// Admission is where a request can be refused without touching the
-    /// device: a full queue returns [`ServeError::QueueFull`], invalid
-    /// inputs (empty/ragged initial samples, out-of-range roots) return
-    /// [`ServeError::Sampling`], and a request whose deadline budget is
-    /// already non-positive (it could never complete in time) returns
-    /// [`ServeError::DeadlineExceeded`] immediately — so only runnable
-    /// requests ever occupy queue slots.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::QueueFull`], [`ServeError::Sampling`],
-    /// [`ServeError::DeadlineExceeded`] and [`ServeError::InvalidConfig`]
-    /// (non-finite deadline), as above.
-    pub fn submit(&mut self, req: Request) -> Result<RequestId, ServeError> {
-        if self.pending.len() >= self.cfg.max_queue {
-            self.obs.metrics.sim.queue_rejected += 1;
-            self.obs.trace.push(
-                Span::instant(SpanKind::QueueReject, self.session.sim_ms())
-                    .priority(req.priority)
-                    .depth(self.pending.len()),
-            );
-            return Err(ServeError::QueueFull {
-                capacity: self.cfg.max_queue,
-            });
-        }
-        validate_deadline(&req)?;
-        validate_run(self.session.graph(), self.session.app(), &req.init)?;
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        let admit_ms = self.session.sim_ms();
-        let priority = req.priority;
-        self.pending.push_back(Pending { id, req, admit_ms });
-        self.obs.metrics.sim.admitted += 1;
+    fn validate(&self, init: &[Vec<VertexId>]) -> Result<(), NextDoorError> {
+        validate_run(self.session.graph(), self.session.app(), init)
+    }
+
+    fn health(&self) -> (usize, usize) {
+        (1, 1)
+    }
+
+    fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
+    fn obs_mut(&mut self) -> &mut Obs {
+        &mut self.obs
+    }
+
+    /// Runs the batch as one [`SamplerSession::query_fused`] call. The
+    /// session clock is the dispatch clock, so class launch intervals map
+    /// with zero offset and the response's replica is always 0.
+    fn dispatch(&mut self, queries: &[SessionQuery]) -> Result<PoolResponse, ServeError> {
+        let n = queries.len();
+        let start_ms = self.session.sim_ms();
+        let launch0 = self.session.gpu().launches_issued();
+        let batch_seq = self.obs.trace.next_batch_id();
+        let res = self.session.query_fused(queries);
+        let end_ms = self.session.sim_ms();
+        let launch1 = self.session.gpu().launches_issued();
         self.obs.trace.push(
-            Span::instant(SpanKind::Admission, admit_ms)
-                .request(id)
-                .priority(priority)
-                .depth(self.pending.len()),
+            Span::new(SpanKind::Dispatch, start_ms, end_ms)
+                .batch(batch_seq)
+                .batch_size(n)
+                .launches((launch0, launch1))
+                .ok(res.is_ok()),
         );
-        Ok(id)
-    }
-
-    /// Serves every pending request and returns the outcomes in completion
-    /// order.
-    ///
-    /// Before each batch formation, requests whose deadline already
-    /// expired while queued are shed with [`ServeError::DeadlineExceeded`]
-    /// without touching the device. Each batch is then formed by urgency
-    /// (see [module docs](self)): the most urgent request's width class,
-    /// earliest-deadline-first within it, capped at
-    /// [`ServeConfig::max_batch`], run as a single fused launch. A request
-    /// that finishes past its deadline gets
-    /// [`ServeError::DeadlineExceeded`] while the rest of its batch
-    /// completes normally; a batch whose fused run fails at runtime fans
-    /// the same typed error out to each of its requests and later batches
-    /// are still attempted.
-    pub fn drain(&mut self) -> Vec<(RequestId, Result<Response, ServeError>)> {
-        let mut out = Vec::with_capacity(self.pending.len());
-        loop {
-            shed_expired(
-                &self.cfg,
-                &mut self.pending,
-                self.session.sim_ms(),
-                &mut out,
-                &mut self.obs,
-            );
-            if self.pending.is_empty() {
-                break;
+        self.obs.metrics.sim.batches += 1;
+        match res {
+            Ok(fused) => {
+                self.launches += fused.launches as u64;
+                let spec = self.session.gpu().spec();
+                record_class_launches(
+                    &mut self.obs,
+                    batch_seq,
+                    None,
+                    &fused.class_marks,
+                    spec,
+                    0.0,
+                );
+                self.obs.metrics.sim.batch_size.observe(n as f64);
+                Ok(PoolResponse {
+                    fused,
+                    replica: 0,
+                    batch: batch_seq,
+                    start_ms,
+                    end_ms,
+                    retries: 0,
+                    hedged: false,
+                })
             }
-            let depth = self.pending.len();
-            let batch = form_batch(&self.cfg, self.cfg.max_batch, &mut self.pending);
-            self.obs.metrics.sim.queue_depth.observe(depth as f64);
-            self.obs.trace.push(
-                Span::instant(SpanKind::Formation, self.session.sim_ms())
-                    .depth(depth)
-                    .batch_size(batch.len()),
-            );
-            self.run_batch(batch, &mut out);
-            self.harvest_tuning();
+            Err(e) => {
+                self.obs.metrics.sim.failed += n as u64;
+                Err(ServeError::Sampling(e))
+            }
         }
-        out
     }
 
     /// Copies the session's tuner/cache counters into the metrics registry
     /// and emits a [`SpanKind::CacheInstall`] span whenever a maintenance
-    /// pass changed the resident set. Runs after each served batch, at the
-    /// same query boundary where the session itself retunes.
-    fn harvest_tuning(&mut self) {
+    /// pass changed the resident set — at the same query boundary where
+    /// the session itself retunes.
+    fn after_batch(&mut self) {
         let t = &mut self.obs.metrics.tuning;
         t.plan_updates = self.session.plan_updates();
         let Some(s) = self.session.cache_stats() else {
@@ -545,12 +477,270 @@ impl MicroBatcher {
             );
         }
     }
+}
 
-    fn run_batch(
-        &mut self,
-        batch: Vec<Pending>,
-        out: &mut Vec<(RequestId, Result<Response, ServeError>)>,
-    ) {
+/// Admits sampling requests into a bounded queue and serves them in fused
+/// batches through a [`Dispatch`] backend. See the [module docs](self).
+pub struct Batcher<D: Dispatch> {
+    backend: D,
+    cfg: ServeConfig,
+    pending: VecDeque<Pending>,
+    next_id: u64,
+    shed: u64,
+    degraded_since: Option<f64>,
+    degraded_intervals: Vec<(f64, f64)>,
+}
+
+/// The single-session batcher: a [`Batcher`] over one warm
+/// [`SamplerSession`].
+pub type MicroBatcher = Batcher<SessionBackend>;
+
+/// The replicated batcher: a [`Batcher`] over a fault-tolerant
+/// [`ReplicaPool`].
+pub type FleetBatcher = Batcher<ReplicaPool>;
+
+impl<D: Dispatch> Batcher<D> {
+    /// Wraps a backend (a [`SamplerSession`] or a [`ReplicaPool`]) in a
+    /// batcher with the given scheduling knobs.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidConfig`] when the knobs fail
+    /// [`ServeConfig::validate`].
+    pub fn new(backend: impl Into<D>, cfg: ServeConfig) -> Result<Self, ServeError> {
+        cfg.validate()?;
+        Ok(Batcher {
+            backend: backend.into(),
+            cfg,
+            pending: VecDeque::new(),
+            next_id: 0,
+            shed: 0,
+            degraded_since: None,
+            degraded_intervals: Vec::new(),
+        })
+    }
+
+    /// Admits a request, or rejects it with backpressure.
+    ///
+    /// Admission is where a request can be refused without touching the
+    /// device: a full queue returns [`ServeError::QueueFull`], invalid
+    /// inputs (empty/ragged initial samples, out-of-range roots) return
+    /// [`ServeError::Sampling`], and a request whose deadline budget is
+    /// already non-positive (it could never complete in time) returns
+    /// [`ServeError::DeadlineExceeded`] immediately — so only runnable
+    /// requests ever occupy queue slots.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::QueueFull`], [`ServeError::Sampling`],
+    /// [`ServeError::DeadlineExceeded`] and [`ServeError::InvalidConfig`]
+    /// (non-finite deadline), as above.
+    pub fn submit(&mut self, req: Request) -> Result<RequestId, ServeError> {
+        let now = self.backend.now_ms();
+        let depth = self.pending.len();
+        if depth >= self.cfg.max_queue {
+            let obs = self.backend.obs_mut();
+            obs.metrics.sim.queue_rejected += 1;
+            obs.trace.push(
+                Span::instant(SpanKind::QueueReject, now)
+                    .priority(req.priority)
+                    .depth(depth),
+            );
+            return Err(ServeError::QueueFull {
+                capacity: self.cfg.max_queue,
+            });
+        }
+        validate_deadline(&req)?;
+        self.backend.validate(&req.init)?;
+        let id = RequestId(self.next_id);
+        self.next_id += 1;
+        let priority = req.priority;
+        self.pending.push_back(Pending {
+            id,
+            req,
+            admit_ms: now,
+        });
+        let obs = self.backend.obs_mut();
+        obs.metrics.sim.admitted += 1;
+        obs.trace.push(
+            Span::instant(SpanKind::Admission, now)
+                .request(id)
+                .priority(priority)
+                .depth(depth + 1),
+        );
+        Ok(id)
+    }
+
+    /// Serves every pending request and returns the outcomes in completion
+    /// order.
+    ///
+    /// Before each batch formation, a degraded backend sheds the requests
+    /// beyond its surviving capacity with [`ServeError::Overloaded`], and
+    /// requests whose deadline already expired while queued are shed with
+    /// [`ServeError::DeadlineExceeded`] — neither touches the device. Each
+    /// batch is then formed by urgency (see [module docs](self)): the most
+    /// urgent request's width class, earliest-deadline-first within it,
+    /// capped at [`ServeConfig::max_batch`], run as a single fused
+    /// dispatch. A request that finishes past its deadline gets
+    /// [`ServeError::DeadlineExceeded`] while the rest of its batch
+    /// completes normally; a batch whose dispatch fails fans the same typed
+    /// error out to each of its requests and later batches are still
+    /// attempted.
+    pub fn drain(&mut self) -> Vec<(RequestId, RequestOutcome)> {
+        let mut out = Vec::with_capacity(self.pending.len());
+        loop {
+            self.update_degradation();
+            self.shed_excess(&mut out);
+            let now = self.backend.now_ms();
+            self.shed_expired(now, &mut out);
+            if self.pending.is_empty() {
+                break;
+            }
+            let depth = self.pending.len();
+            let batch = self.form_batch();
+            let obs = self.backend.obs_mut();
+            obs.metrics.sim.queue_depth.observe(depth as f64);
+            obs.trace.push(
+                Span::instant(SpanKind::Formation, now)
+                    .depth(depth)
+                    .batch_size(batch.len()),
+            );
+            self.run_batch(batch, &mut out);
+            self.backend.after_batch();
+        }
+        out
+    }
+
+    /// Opens/closes the degraded-mode interval as healthy capacity crosses
+    /// full health.
+    fn update_degradation(&mut self) {
+        let (healthy, total) = self.backend.health();
+        let now = self.backend.now_ms();
+        match (healthy < total, self.degraded_since) {
+            (true, None) => self.degraded_since = Some(now),
+            (false, Some(start)) => {
+                self.degraded_intervals.push((start, now));
+                self.degraded_since = None;
+            }
+            _ => {}
+        }
+    }
+
+    /// `knob` scaled to the backend's healthy fraction (at least 1); the
+    /// knob itself at full health.
+    fn scaled_to_health(&self, knob: usize) -> usize {
+        let (healthy, total) = self.backend.health();
+        if healthy >= total {
+            knob
+        } else {
+            (knob * healthy / total).max(1)
+        }
+    }
+
+    /// Under degraded capacity, sheds pending requests beyond the scaled
+    /// queue budget: strictly lowest priority first, latest-admitted first
+    /// within a priority. Deterministic, and it never touches a request
+    /// that fits the surviving capacity. A no-op at full health, where the
+    /// budget is the admission bound itself.
+    fn shed_excess(&mut self, out: &mut Vec<(RequestId, RequestOutcome)>) {
+        let (healthy, total) = self.backend.health();
+        let capacity = self.scaled_to_health(self.cfg.max_queue);
+        let now = self.backend.now_ms();
+        while self.pending.len() > capacity {
+            let victim = self
+                .pending
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, p)| (p.req.priority, std::cmp::Reverse(p.id)))
+                .map(|(i, _)| i)
+                .unwrap_or(0);
+            let Some(p) = self.pending.remove(victim) else {
+                break;
+            };
+            self.shed += 1;
+            let obs = self.backend.obs_mut();
+            obs.metrics.sim.overload_shed += 1;
+            obs.metrics.priority_mut(p.req.priority).overload_shed += 1;
+            obs.trace.push(
+                Span::instant(SpanKind::OverloadShed, now)
+                    .request(p.id)
+                    .priority(p.req.priority)
+                    .depth(healthy),
+            );
+            out.push((
+                p.id,
+                Err(ServeError::Overloaded {
+                    healthy,
+                    replicas: total,
+                }),
+            ));
+        }
+    }
+
+    /// Sheds every pending request whose deadline has already expired at
+    /// `now` (queue wait alone reached the budget), without consuming any
+    /// device time. Remaining requests keep their admission order. Each
+    /// shed is recorded as an [`SpanKind::Expired`] span and an
+    /// `expired_shed` count.
+    fn shed_expired(&mut self, now: f64, out: &mut Vec<(RequestId, RequestOutcome)>) {
+        let mut i = 0;
+        while i < self.pending.len() {
+            let p = &self.pending[i];
+            let expired = deadline_of(&self.cfg, p).is_some_and(|d| now - p.admit_ms >= d);
+            if !expired {
+                i += 1;
+                continue;
+            }
+            if let Some(p) = self.pending.remove(i) {
+                let d = deadline_of(&self.cfg, &p).unwrap_or(0.0);
+                let obs = self.backend.obs_mut();
+                obs.trace.push(
+                    Span::new(SpanKind::Expired, p.admit_ms, now)
+                        .request(p.id)
+                        .priority(p.req.priority),
+                );
+                obs.metrics.sim.expired_shed += 1;
+                obs.metrics.priority_mut(p.req.priority).expired_shed += 1;
+                out.push((
+                    p.id,
+                    Err(ServeError::DeadlineExceeded {
+                        deadline_ms: d,
+                        observed_ms: now - p.admit_ms,
+                    }),
+                ));
+            }
+        }
+    }
+
+    /// Forms the next batch: the globally most urgent pending request
+    /// anchors it, and the batch is the most urgent requests of the
+    /// anchor's width class, in urgency order, up to the batch cap (scaled
+    /// down by the backend's health). Other width classes stay queued for
+    /// later formations. Must be called with a non-empty queue.
+    fn form_batch(&mut self) -> Vec<Pending> {
+        let cap = self.scaled_to_health(self.cfg.max_batch);
+        let (cfg, pending) = (&self.cfg, &mut self.pending);
+        let anchor_width = pending
+            .iter()
+            .min_by(|a, b| urgency(cfg, a, b))
+            .map_or(0, |p| p.req.init[0].len());
+        let mut class: Vec<usize> = (0..pending.len())
+            .filter(|&i| pending[i].req.init[0].len() == anchor_width)
+            .collect();
+        class.sort_by(|&a, &b| urgency(cfg, &pending[a], &pending[b]));
+        class.truncate(cap);
+        // Remove back-to-front so earlier indices stay valid, then restore
+        // urgency order within the batch.
+        class.sort_unstable_by(|a, b| b.cmp(a));
+        let mut batch: Vec<Pending> = class
+            .into_iter()
+            .filter_map(|i| pending.remove(i))
+            .collect();
+        batch.sort_by(|a, b| urgency(cfg, a, b));
+        batch
+    }
+
+    fn run_batch(&mut self, batch: Vec<Pending>, out: &mut Vec<(RequestId, RequestOutcome)>) {
         let queries: Vec<SessionQuery> = batch
             .iter()
             .map(|p| SessionQuery {
@@ -558,85 +748,49 @@ impl MicroBatcher {
                 seed: p.req.seed,
             })
             .collect();
-        let start_ms = self.session.sim_ms();
-        let launch0 = self.session.gpu().launches_issued();
-        let batch_seq = self.obs.trace.next_batch_id();
-        match self.session.query_fused(&queries) {
-            Ok(fused) => {
-                self.launches += fused.launches as u64;
-                let end_ms = self.session.sim_ms();
-                let launch1 = self.session.gpu().launches_issued();
-                let spec = self.session.gpu().spec().clone();
-                // Session clock == dispatch clock here, so class launch
-                // intervals map with zero offset.
-                record_dispatch(
-                    &mut self.obs,
-                    batch_seq,
-                    None,
-                    batch.len(),
-                    start_ms,
-                    end_ms,
-                    (launch0, launch1),
-                    &fused.class_marks,
-                    |c| spec.cycles_to_ms(c),
-                    0.0,
-                );
-                let batch_size = batch.len();
-                for (p, store) in batch.into_iter().zip(fused.per_query) {
-                    let observed_ms = end_ms - p.admit_ms;
-                    let deadline = deadline_of(&self.cfg, &p);
-                    let in_time = !matches!(deadline, Some(d) if observed_ms > d);
-                    record_served(&mut self.obs, &p, batch_seq, start_ms, end_ms, in_time);
-                    let result = match deadline {
-                        Some(d) if observed_ms > d => Err(ServeError::DeadlineExceeded {
-                            deadline_ms: d,
-                            observed_ms,
-                        }),
-                        _ => Ok(Response {
-                            store,
-                            latency: RequestLatency {
-                                queued_ms: start_ms - p.admit_ms,
-                                service_ms: end_ms - start_ms,
-                                total_ms: observed_ms,
-                                batch_size,
-                            },
-                            batch_stats: fused.stats.clone(),
-                            report: fused.report.clone(),
-                        }),
-                    };
-                    out.push((p.id, result));
-                }
-            }
+        let pr = match self.backend.dispatch(&queries) {
+            Ok(pr) => pr,
             Err(e) => {
-                let end_ms = self.session.sim_ms();
-                let launch1 = self.session.gpu().launches_issued();
-                self.obs.trace.push(
-                    Span::new(SpanKind::Dispatch, start_ms, end_ms)
-                        .batch(batch_seq)
-                        .batch_size(batch.len())
-                        .launches((launch0, launch1))
-                        .ok(false),
-                );
-                self.obs.metrics.sim.batches += 1;
-                self.obs.metrics.sim.failed += batch.len() as u64;
-                for p in batch {
-                    out.push((p.id, Err(ServeError::Sampling(e.clone()))));
-                }
+                out.extend(batch.into_iter().map(|p| (p.id, Err(e.clone()))));
+                return;
             }
+        };
+        let batch_size = batch.len();
+        for (p, store) in batch.into_iter().zip(pr.fused.per_query) {
+            let observed_ms = pr.end_ms - p.admit_ms;
+            let late = deadline_of(&self.cfg, &p).filter(|&d| observed_ms > d);
+            record_served(
+                self.backend.obs_mut(),
+                &p,
+                pr.batch,
+                pr.start_ms,
+                pr.end_ms,
+                late.is_none(),
+            );
+            let result = match late {
+                Some(d) => Err(ServeError::DeadlineExceeded {
+                    deadline_ms: d,
+                    observed_ms,
+                }),
+                None => Ok(Response {
+                    store,
+                    latency: RequestLatency {
+                        queued_ms: pr.start_ms - p.admit_ms,
+                        service_ms: pr.end_ms - pr.start_ms,
+                        total_ms: observed_ms,
+                        batch_size,
+                    },
+                    batch_stats: pr.fused.stats.clone(),
+                    report: pr.fused.report.clone(),
+                }),
+            };
+            out.push((p.id, result));
         }
     }
 
-    /// Requests admitted but not yet served.
+    /// Requests admitted but not yet served or shed.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Fused launch sequences dispatched to the device so far — the
-    /// batcher's fusion effectiveness: fewer launches for the same served
-    /// requests means better amortisation of per-launch fixed costs.
-    /// Requests shed before dispatch consume none.
-    pub fn launches(&self) -> u64 {
-        self.launches
     }
 
     /// The batcher's scheduling knobs.
@@ -644,20 +798,47 @@ impl MicroBatcher {
         &self.cfg
     }
 
-    /// The recorded request-lifecycle span stream (see [`crate::trace`]).
+    /// The recorded request-lifecycle span stream (see [`crate::trace`]);
+    /// on a pool, batcher and pool spans share this one recorder, ordered
+    /// by recording sequence.
     pub fn trace(&self) -> &Tracer {
-        &self.obs.trace
+        &self.backend.obs().trace
     }
 
-    /// The batcher's metrics registry (see [`crate::metrics`]).
+    /// The batcher's deterministic metrics registry (see
+    /// [`crate::metrics`]).
     pub fn metrics(&self) -> &ServeMetrics {
-        &self.obs.metrics
+        &self.backend.obs().metrics
     }
 
     /// Records a wall-clock end-to-end latency sample into the metrics
     /// registry's (non-digested) wall histogram.
     pub fn observe_wall_ms(&mut self, ms: f64) {
-        self.obs.metrics.observe_wall_ms(ms);
+        self.backend.obs_mut().metrics.observe_wall_ms(ms);
+    }
+}
+
+impl<D: Dispatch + Send + 'static> BatchEngine for Batcher<D> {
+    fn submit(&mut self, req: Request) -> Result<RequestId, ServeError> {
+        Batcher::submit(self, req)
+    }
+
+    fn drain(&mut self) -> Vec<(RequestId, RequestOutcome)> {
+        Batcher::drain(self)
+    }
+
+    fn observe_wall_ms(&mut self, ms: f64) {
+        Batcher::observe_wall_ms(self, ms);
+    }
+}
+
+impl MicroBatcher {
+    /// Fused launch sequences dispatched to the device so far — the
+    /// batcher's fusion effectiveness: fewer launches for the same served
+    /// requests means better amortisation of per-launch fixed costs.
+    /// Requests shed before dispatch consume none.
+    pub fn launches(&self) -> u64 {
+        self.backend.launches
     }
 
     /// Enables profile-guided autotuning and the cross-query hot-transit
@@ -668,24 +849,55 @@ impl MicroBatcher {
     /// Samples are unaffected — tuning moves only launch geometry and
     /// cost, so responses stay bit-identical to an untuned batcher's.
     pub fn enable_tuning(&mut self, tuner: TunerConfig, cache: CacheConfig) {
-        self.session.enable_autotune(tuner);
-        self.session.enable_hot_cache(cache);
+        self.backend.session.enable_autotune(tuner);
+        self.backend.session.enable_hot_cache(cache);
     }
 
     /// The underlying warm session.
     pub fn session(&self) -> &SamplerSession {
-        &self.session
+        &self.backend.session
     }
 
     /// Mutable access to the underlying session (e.g. to inject a fault
     /// plan between drains).
     pub fn session_mut(&mut self) -> &mut SamplerSession {
-        &mut self.session
+        &mut self.backend.session
     }
 
     /// Tears the batcher down, recovering the warm session.
     pub fn into_session(self) -> SamplerSession {
-        self.session
+        self.backend.session
+    }
+}
+
+impl FleetBatcher {
+    /// The underlying pool.
+    pub fn pool(&self) -> &ReplicaPool {
+        &self.backend
+    }
+
+    /// Mutable access to the pool (e.g. to schedule chaos mid-run).
+    pub fn pool_mut(&mut self) -> &mut ReplicaPool {
+        &mut self.backend
+    }
+
+    /// The full fleet report: the pool's dispatch/recovery counters plus
+    /// this batcher's shedding and degraded-mode intervals (an interval
+    /// still open is closed at the current fleet clock).
+    pub fn report(&self) -> FleetReport {
+        let mut rep = self.backend.report_core();
+        rep.shed = self.shed;
+        rep.degraded_intervals = self.degraded_intervals.clone();
+        if let Some(start) = self.degraded_since {
+            rep.degraded_intervals
+                .push((start, self.backend.fleet_ms()));
+        }
+        rep
+    }
+
+    /// Tears the batcher down, recovering the pool.
+    pub fn into_pool(self) -> ReplicaPool {
+        self.backend
     }
 }
 

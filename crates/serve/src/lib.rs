@@ -4,35 +4,37 @@
 //! upload and engine setup per call wastes most of the GPU's time (the
 //! paper's end-to-end integration keeps sampling state resident across
 //! training iterations, §8). This crate serves sampling queries from
-//! persistent state, in three layers:
+//! persistent state:
 //!
-//! 1. [`SamplerSession`](nextdoor_core::session::SamplerSession)
-//!    (in `nextdoor-core`) — uploads the graph once and answers many
-//!    queries, including *fused* multi-query batches that are bit-identical
-//!    to standalone runs.
-//! 2. [`MicroBatcher`] — deterministic admission control (bounded queue,
-//!    eager input + config validation), width-class batch formation with
-//!    earliest-deadline-first scheduling ([`Priority`] breaks ties) up to
-//!    a batch cap, per-request deadlines on the simulated clock (expired
-//!    requests are shed before touching the device), typed per-request
-//!    errors ([`ServeError`]).
-//! 3. [`SampleServer`] — a scheduler thread that burst-collects concurrent
-//!    client requests into the batcher and mails each result back through
-//!    a [`Ticket`]. It is generic over a [`BatchEngine`], so the same
-//!    server fronts a lone session or a replicated pool.
-//! 4. [`ReplicaPool`] + [`FleetBatcher`] — the fault-tolerant tier: N
-//!    session replicas of the same graph behind a deterministic router
-//!    with retry/backoff, hedging, per-replica circuit breakers
-//!    ([`CircuitBreaker`]), graceful degradation with priority shedding,
-//!    and a per-run [`FleetReport`] of every recovery decision. All of it
-//!    runs on the simulated fleet clock, so chaos runs are bit-identical
-//!    at any host thread count.
-//! 5. [`ShardedPool`] — the sharded tier: the graph **partitioned** across
-//!    N devices instead of replicated, with partition-aware request
-//!    routing, cross-shard walker hand-off in deterministic super-steps,
-//!    per-shard circuit breakers, and typed [`ServeError::ShardLost`]
-//!    shedding when a request's home shard is permanently gone. Samples
-//!    stay bit-identical to single-device runs.
+//! * [`SamplerSession`](nextdoor_core::session::SamplerSession)
+//!   (in `nextdoor-core`) uploads the graph once and answers many
+//!   queries, including *fused* multi-query batches that are bit-identical
+//!   to standalone runs.
+//! * One [`Batcher<D>`](Batcher) owns everything between a client and a
+//!   device: deterministic admission control (bounded queue, eager input +
+//!   config validation), width-class batch formation with
+//!   earliest-deadline-first scheduling ([`Priority`] breaks ties) up to a
+//!   batch cap, per-request deadlines on the simulated clock (expired
+//!   requests are shed before touching the device), degradation shedding
+//!   when the backend loses capacity, and typed per-request errors
+//!   ([`ServeError`]). Its [`Dispatch`] backend is one of two:
+//!   - [`SessionBackend`]: a lone warm session — [`MicroBatcher`];
+//!   - [`ReplicaPool`]: the fault-tolerant tier — [`FleetBatcher`]: N
+//!     session replicas of the same graph behind a deterministic router
+//!     with retry/backoff, hedging and per-replica circuit breakers
+//!     ([`CircuitBreaker`]), recording every recovery decision in a
+//!     [`FleetReport`]. All of it runs on the simulated fleet clock, so
+//!     chaos runs are bit-identical at any host thread count.
+//! * [`SampleServer`] is a scheduler thread that burst-collects concurrent
+//!   client requests into a batcher and mails each result back through a
+//!   [`Ticket`]. It is generic over a [`BatchEngine`], which every batcher
+//!   implements.
+//! * [`ShardedPool`] is the sharded tier: the graph **partitioned** across
+//!   N devices instead of replicated, with partition-aware request
+//!   routing, cross-shard walker hand-off in deterministic super-steps,
+//!   per-shard circuit breakers, and typed [`ServeError::ShardLost`]
+//!   shedding when a request's home shard is permanently gone. Samples
+//!   stay bit-identical to single-device runs.
 //!
 //! ```
 //! use nextdoor_core::api::{NextCtx, SamplingApp, Steps};
@@ -91,7 +93,8 @@ pub mod shard;
 pub mod trace;
 
 pub use batcher::{
-    MicroBatcher, Priority, Request, RequestId, RequestLatency, Response, ServeConfig,
+    Batcher, Dispatch, FleetBatcher, MicroBatcher, Priority, Request, RequestId, RequestLatency,
+    Response, ServeConfig, SessionBackend,
 };
 pub use error::ServeError;
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -99,7 +102,7 @@ pub use metrics::{
     Histogram, PriorityMetrics, ServeMetrics, SimMetrics, TuningMetrics, DEPTH_BOUNDS,
     LATENCY_BOUNDS_MS, SIZE_BOUNDS, WIDTH_BOUNDS,
 };
-pub use replica::{FleetBatcher, FleetReport, PoolConfig, PoolResponse, ReplicaPool, ReplicaStats};
+pub use replica::{FleetReport, PoolConfig, PoolResponse, ReplicaPool, ReplicaStats};
 pub use server::{BatchEngine, RequestOutcome, SampleServer, ServeClient, Ticket};
 pub use shard::{ShardDispatch, ShardPoolConfig, ShardedPool};
 pub use trace::{write_fleet_trace, Span, SpanKind, Tracer};

@@ -1,5 +1,5 @@
-//! Fault-tolerant replicated serving: the [`ReplicaPool`] and the
-//! [`FleetBatcher`] on top of it.
+//! Fault-tolerant replicated serving: the [`ReplicaPool`], the
+//! [`Dispatch`] backend of a [`FleetBatcher`](crate::FleetBatcher).
 //!
 //! One [`SamplerSession`] is one device — one watchdog kill, one
 //! out-of-memory storm or one device loss away from dropping every request
@@ -26,10 +26,11 @@
 //!   earlier completion wins. Results are bit-identical either way, so
 //!   hedging only ever improves the latency accounting.
 //!
-//! When healthy capacity drops below demand the [`FleetBatcher`] degrades
-//! gracefully instead of queueing without bound: the fused batch cap
-//! shrinks proportionally to surviving capacity, and excess pending
-//! requests are shed **lowest priority first** with a typed
+//! The pool reports its healthy replica count through
+//! [`Dispatch::health`]. When healthy capacity drops below demand the
+//! batcher above degrades gracefully instead of queueing without bound:
+//! the fused batch cap shrinks proportionally to surviving capacity, and
+//! excess pending requests are shed **lowest priority first** with a typed
 //! [`ServeError::Overloaded`] rejection. Every decision — retries, hedges,
 //! trips, probes, recoveries, sheds, degraded intervals — is surfaced in
 //! the per-run [`FleetReport`].
@@ -41,23 +42,17 @@
 //! produces bit-identical samples *and* a bit-identical `FleetReport` at
 //! any `NEXTDOOR_SIM_THREADS`.
 
-use std::collections::VecDeque;
-
-use crate::batcher::{
-    deadline_of, form_batch, record_served, shed_expired, validate_deadline, Pending, Request,
-    RequestId, RequestLatency, Response, ServeConfig,
-};
+use crate::batcher::{record_class_launches, Dispatch};
 use crate::error::ServeError;
 use crate::health::{BreakerConfig, CircuitBreaker};
 use crate::metrics::ServeMetrics;
-use crate::server::RequestOutcome;
 use crate::trace::{Obs, Span, SpanKind, Tracer};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_core::multi_gpu::least_loaded_alive;
 use nextdoor_core::session::{FusedResult, SamplerSession, SessionQuery};
 use nextdoor_core::{validate_run, FaultReport, NextDoorError};
 use nextdoor_gpu::{FaultPlan, Gpu, GpuSpec};
-use nextdoor_graph::Csr;
+use nextdoor_graph::{Csr, VertexId};
 
 /// Recovery knobs of a [`ReplicaPool`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,7 +162,9 @@ struct Replica {
 }
 
 /// A successfully dispatched batch, with the pool's fleet-clock
-/// bracketing of it.
+/// bracketing of it. Also the result of every [`Dispatch::dispatch`]: a
+/// single session reports replica 0, no retries and no hedge, bracketed on
+/// its own clock.
 pub struct PoolResponse {
     /// The fused result (per-query stores, batch stats, fault report).
     pub fused: FusedResult,
@@ -219,17 +216,17 @@ pub struct ReplicaPool {
     hedges: u64,
     hedge_wins: u64,
     cooldown_waits: u64,
-    /// The fleet's span stream and metrics registry. The [`FleetBatcher`]
-    /// records its request-level events here too, so one serving stack has
-    /// one totally-ordered trace.
+    /// The fleet's span stream and metrics registry. The
+    /// [`FleetBatcher`](crate::FleetBatcher) records its request-level
+    /// events here too (through [`Dispatch::obs_mut`]), so one serving
+    /// stack has one totally-ordered trace.
     obs: Obs,
 }
 
 impl ReplicaPool {
-    /// Builds a pool from caller-configured devices (one per replica; this
-    /// is where per-replica [`FaultPlan`]s are
-    /// installed) and one sampling app instance per replica, all over the
-    /// same `graph`.
+    /// Builds a pool from one caller-configured device and sampling app
+    /// instance per replica (the device is where per-replica
+    /// [`FaultPlan`]s are installed), all over the same `graph`.
     ///
     /// # Errors
     ///
@@ -237,21 +234,15 @@ impl ReplicaPool {
     /// creation error ([`NextDoorError::EmptyGraph`], upload
     /// [`NextDoorError::OutOfMemory`], a device already lost).
     pub fn new(
-        gpus: Vec<Gpu>,
+        devices: Vec<(Gpu, Box<dyn SamplingApp + Send>)>,
         graph: &Csr,
-        apps: Vec<Box<dyn SamplingApp + Send>>,
         cfg: PoolConfig,
     ) -> Result<Self, NextDoorError> {
-        if gpus.is_empty() {
+        if devices.is_empty() {
             return Err(NextDoorError::NoGpus);
         }
-        assert_eq!(
-            gpus.len(),
-            apps.len(),
-            "one sampling app instance per replica device"
-        );
-        let mut replicas = Vec::with_capacity(gpus.len());
-        for (gpu, app) in gpus.into_iter().zip(apps) {
+        let mut replicas = Vec::with_capacity(devices.len());
+        for (gpu, app) in devices {
             replicas.push(Replica {
                 session: SamplerSession::with_gpu(gpu, graph.clone(), app)?,
                 breaker: CircuitBreaker::new(cfg.breaker),
@@ -289,9 +280,10 @@ impl ReplicaPool {
         make_app: impl Fn() -> Box<dyn SamplingApp + Send>,
         cfg: PoolConfig,
     ) -> Result<Self, NextDoorError> {
-        let gpus = (0..n).map(|_| Gpu::new(spec.clone())).collect();
-        let apps = (0..n).map(|_| make_app()).collect();
-        Self::new(gpus, graph, apps, cfg)
+        let devices = (0..n)
+            .map(|_| (Gpu::new(spec.clone()), make_app()))
+            .collect();
+        Self::new(devices, graph, cfg)
     }
 
     /// Replicas in the pool (healthy or not).
@@ -343,8 +335,8 @@ impl ReplicaPool {
     }
 
     /// The fleet's request-lifecycle trace (shared with the
-    /// [`FleetBatcher`] above, which records admission/queue/shedding
-    /// spans into the same recorder).
+    /// [`FleetBatcher`](crate::FleetBatcher) above, which records
+    /// admission/queue/shedding spans into the same recorder).
     pub fn trace(&self) -> &Tracer {
         &self.obs.trace
     }
@@ -353,12 +345,6 @@ impl ReplicaPool {
     /// [`ServeMetrics`]).
     pub fn metrics(&self) -> &ServeMetrics {
         &self.obs.metrics
-    }
-
-    /// Folds one wall-clock latency observation into the (digest-exempt)
-    /// wall histogram.
-    pub fn observe_wall_ms(&mut self, ms: f64) {
-        self.obs.metrics.observe_wall_ms(ms);
     }
 
     /// The pool-level slice of the [`FleetReport`] (the batcher above adds
@@ -437,7 +423,6 @@ impl ReplicaPool {
         let launch0 = r.session.gpu().launches_issued();
         let res = r.session.query_fused(queries);
         let launch1 = r.session.gpu().launches_issued();
-        let spec = r.session.gpu().spec().clone();
         self.fleet_ms += r.session.sim_ms() - t0;
         self.obs.trace.push(
             Span::new(SpanKind::Attempt, fleet_t0, self.fleet_ms)
@@ -452,30 +437,20 @@ impl ReplicaPool {
                 // This attempt ran the device from `t0`; its class launch
                 // intervals shift onto the fleet timeline by the attempt's
                 // fleet start.
-                let dev_offset_ms = fleet_t0 - t0;
-                for m in &fused.class_marks {
-                    self.obs.trace.push(
-                        Span::new(
-                            SpanKind::ClassLaunch,
-                            spec.cycles_to_ms(m.start_cycles) + dev_offset_ms,
-                            spec.cycles_to_ms(m.end_cycles) + dev_offset_ms,
-                        )
-                        .batch(batch_seq)
-                        .replica(dev)
-                        .width(m.width)
-                        .batch_size(m.queries)
-                        .launches((m.launch_start, m.launch_end)),
-                    );
-                    self.obs.metrics.sim.batch_width.observe(m.width as f64);
-                }
-                self.obs.metrics.sim.class_launches += fused.class_marks.len() as u64;
-                let r = &mut self.replicas[dev];
+                let spec = r.session.gpu().spec();
+                record_class_launches(
+                    &mut self.obs,
+                    batch_seq,
+                    Some(dev),
+                    &fused.class_marks,
+                    spec,
+                    fleet_t0 - t0,
+                );
                 r.breaker.record_success();
                 r.faults.merge(&fused.report);
                 Ok(fused)
             }
             Err(e) => {
-                let r = &mut self.replicas[dev];
                 r.failures += 1;
                 if matches!(e, NextDoorError::DeviceLost { .. }) || r.session.device_lost() {
                     r.breaker.kill();
@@ -727,317 +702,36 @@ impl ReplicaPool {
     }
 }
 
-/// The replicated counterpart of
-/// [`MicroBatcher`](crate::batcher::MicroBatcher): same bounded admission
-/// and width-class/deadline-aware fusion (see the
-/// [batcher module docs](crate::batcher)), but batches are dispatched
-/// through a [`ReplicaPool`] — and under degraded capacity the batch cap
-/// shrinks and excess pending requests are shed lowest-priority-first with
-/// [`ServeError::Overloaded`].
-pub struct FleetBatcher {
-    pool: ReplicaPool,
-    cfg: ServeConfig,
-    pending: VecDeque<Pending>,
-    next_id: u64,
-    shed: u64,
-    degraded_since: Option<f64>,
-    degraded_intervals: Vec<(f64, f64)>,
-}
-
-impl FleetBatcher {
-    /// Wraps a replica pool in a batcher with the given scheduling knobs.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidConfig`] when the knobs fail
-    /// [`ServeConfig::validate`].
-    pub fn new(pool: ReplicaPool, cfg: ServeConfig) -> Result<Self, ServeError> {
-        cfg.validate()?;
-        Ok(FleetBatcher {
-            pool,
-            cfg,
-            pending: VecDeque::new(),
-            next_id: 0,
-            shed: 0,
-            degraded_since: None,
-            degraded_intervals: Vec::new(),
-        })
+impl Dispatch for ReplicaPool {
+    fn now_ms(&self) -> f64 {
+        self.fleet_ms
     }
 
-    /// Admits a request, or rejects it with backpressure — the same
-    /// contract as [`MicroBatcher::submit`](crate::MicroBatcher::submit).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::QueueFull`] past the queue bound,
-    /// [`ServeError::Sampling`] for invalid inputs,
-    /// [`ServeError::DeadlineExceeded`] / [`ServeError::InvalidConfig`]
-    /// for unmeetable or non-finite per-request deadlines.
-    pub fn submit(&mut self, req: Request) -> Result<RequestId, ServeError> {
-        let now = self.pool.fleet_ms();
-        if self.pending.len() >= self.cfg.max_queue {
-            let depth = self.pending.len();
-            let obs = &mut self.pool.obs;
-            obs.metrics.sim.queue_rejected += 1;
-            obs.trace.push(
-                Span::instant(SpanKind::QueueReject, now)
-                    .priority(req.priority)
-                    .depth(depth),
-            );
-            return Err(ServeError::QueueFull {
-                capacity: self.cfg.max_queue,
-            });
-        }
-        validate_deadline(&req)?;
-        validate_run(self.pool.graph(), self.pool.app(), &req.init)?;
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        let priority = req.priority;
-        self.pending.push_back(Pending {
-            id,
-            req,
-            admit_ms: now,
-        });
-        let depth = self.pending.len();
-        let obs = &mut self.pool.obs;
-        obs.metrics.sim.admitted += 1;
-        obs.trace.push(
-            Span::instant(SpanKind::Admission, now)
-                .request(id)
-                .priority(priority)
-                .depth(depth),
-        );
-        Ok(id)
+    fn validate(&self, init: &[Vec<VertexId>]) -> Result<(), NextDoorError> {
+        validate_run(self.graph(), self.app(), init)
     }
 
-    /// Serves every pending request through the pool and returns the
-    /// outcomes in completion order (shed requests appear with
-    /// [`ServeError::Overloaded`]; requests whose deadline expired while
-    /// queued are shed with [`ServeError::DeadlineExceeded`] before ever
-    /// reaching a replica).
-    pub fn drain(&mut self) -> Vec<(RequestId, RequestOutcome)> {
-        let mut out = Vec::with_capacity(self.pending.len());
-        loop {
-            self.update_degradation();
-            self.shed_excess(&mut out);
-            let now = self.pool.fleet_ms();
-            shed_expired(
-                &self.cfg,
-                &mut self.pending,
-                now,
-                &mut out,
-                &mut self.pool.obs,
-            );
-            if self.pending.is_empty() {
-                break;
-            }
-            let depth = self.pending.len();
-            let batch = form_batch(&self.cfg, self.effective_max_batch(), &mut self.pending);
-            let obs = &mut self.pool.obs;
-            obs.metrics.sim.queue_depth.observe(depth as f64);
-            obs.trace.push(
-                Span::instant(SpanKind::Formation, now)
-                    .depth(depth)
-                    .batch_size(batch.len()),
-            );
-            self.run_batch(batch, &mut out);
-        }
-        out
+    fn health(&self) -> (usize, usize) {
+        (self.healthy_count(), self.num_replicas())
     }
 
-    /// Healthy fraction of the fused-batch cap (full when healthy).
-    fn effective_max_batch(&self) -> usize {
-        let total = self.pool.num_replicas();
-        let healthy = self.pool.healthy_count();
-        if healthy >= total {
-            self.cfg.max_batch
-        } else {
-            (self.cfg.max_batch * healthy / total).max(1)
-        }
+    fn obs(&self) -> &Obs {
+        &self.obs
     }
 
-    /// Opens/closes the degraded-mode interval as healthy capacity crosses
-    /// the full pool size.
-    fn update_degradation(&mut self) {
-        let degraded = self.pool.healthy_count() < self.pool.num_replicas();
-        match (degraded, self.degraded_since) {
-            (true, None) => self.degraded_since = Some(self.pool.fleet_ms()),
-            (false, Some(start)) => {
-                self.degraded_intervals.push((start, self.pool.fleet_ms()));
-                self.degraded_since = None;
-            }
-            _ => {}
-        }
+    fn obs_mut(&mut self) -> &mut Obs {
+        &mut self.obs
     }
 
-    /// Under degraded capacity, sheds pending requests beyond the scaled
-    /// queue budget: strictly lowest priority first, latest-admitted first
-    /// within a priority. Deterministic, and it never touches a request
-    /// that fits the surviving capacity.
-    fn shed_excess(&mut self, out: &mut Vec<(RequestId, RequestOutcome)>) {
-        let total = self.pool.num_replicas();
-        let healthy = self.pool.healthy_count();
-        if healthy >= total {
-            return;
-        }
-        let capacity = (self.cfg.max_queue * healthy / total).max(1);
-        while self.pending.len() > capacity {
-            let victim = self
-                .pending
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, p)| (p.req.priority, std::cmp::Reverse(p.id)))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            let Some(p) = self.pending.remove(victim) else {
-                break;
-            };
-            self.shed += 1;
-            let now = self.pool.fleet_ms();
-            let obs = &mut self.pool.obs;
-            obs.metrics.sim.overload_shed += 1;
-            obs.metrics.priority_mut(p.req.priority).overload_shed += 1;
-            obs.trace.push(
-                Span::instant(SpanKind::OverloadShed, now)
-                    .request(p.id)
-                    .priority(p.req.priority)
-                    .depth(healthy),
-            );
-            out.push((
-                p.id,
-                Err(ServeError::Overloaded {
-                    healthy,
-                    replicas: total,
-                }),
-            ));
-        }
-    }
-
-    fn run_batch(&mut self, batch: Vec<Pending>, out: &mut Vec<(RequestId, RequestOutcome)>) {
-        let queries: Vec<SessionQuery> = batch
-            .iter()
-            .map(|p| SessionQuery {
-                init: p.req.init.clone(),
-                seed: p.req.seed,
-            })
-            .collect();
-        match self.pool.dispatch(&queries) {
-            Ok(pr) => {
-                let batch_size = batch.len();
-                for (p, store) in batch.into_iter().zip(pr.fused.per_query) {
-                    let observed_ms = pr.end_ms - p.admit_ms;
-                    let deadline = deadline_of(&self.cfg, &p);
-                    let in_time = !matches!(deadline, Some(d) if observed_ms > d);
-                    record_served(
-                        &mut self.pool.obs,
-                        &p,
-                        pr.batch,
-                        pr.start_ms,
-                        pr.end_ms,
-                        in_time,
-                    );
-                    let result = match deadline {
-                        Some(d) if observed_ms > d => Err(ServeError::DeadlineExceeded {
-                            deadline_ms: d,
-                            observed_ms,
-                        }),
-                        _ => Ok(Response {
-                            store,
-                            latency: RequestLatency {
-                                queued_ms: pr.start_ms - p.admit_ms,
-                                service_ms: pr.end_ms - pr.start_ms,
-                                total_ms: observed_ms,
-                                batch_size,
-                            },
-                            batch_stats: pr.fused.stats.clone(),
-                            report: pr.fused.report.clone(),
-                        }),
-                    };
-                    out.push((p.id, result));
-                }
-            }
-            Err(e) => {
-                for p in batch {
-                    out.push((p.id, Err(e.clone())));
-                }
-            }
-        }
-    }
-
-    /// Requests admitted but not yet served or shed.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The batcher's scheduling knobs.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
-    }
-
-    /// The underlying pool.
-    pub fn pool(&self) -> &ReplicaPool {
-        &self.pool
-    }
-
-    /// Mutable access to the pool (e.g. to schedule chaos mid-run).
-    pub fn pool_mut(&mut self) -> &mut ReplicaPool {
-        &mut self.pool
-    }
-
-    /// The fleet's request-lifecycle trace (batcher and pool spans share
-    /// one recorder, ordered by recording sequence).
-    pub fn trace(&self) -> &Tracer {
-        self.pool.trace()
-    }
-
-    /// The fleet's deterministic metrics registry.
-    pub fn metrics(&self) -> &ServeMetrics {
-        self.pool.metrics()
-    }
-
-    /// Folds one wall-clock latency observation into the (digest-exempt)
-    /// wall histogram.
-    pub fn observe_wall_ms(&mut self, ms: f64) {
-        self.pool.observe_wall_ms(ms);
-    }
-
-    /// The full fleet report: the pool's dispatch/recovery counters plus
-    /// this batcher's shedding and degraded-mode intervals (an interval
-    /// still open is closed at the current fleet clock).
-    pub fn report(&self) -> FleetReport {
-        let mut rep = self.pool.report_core();
-        rep.shed = self.shed;
-        rep.degraded_intervals = self.degraded_intervals.clone();
-        if let Some(start) = self.degraded_since {
-            rep.degraded_intervals.push((start, self.pool.fleet_ms()));
-        }
-        rep
-    }
-
-    /// Tears the batcher down, recovering the pool.
-    pub fn into_pool(self) -> ReplicaPool {
-        self.pool
-    }
-}
-
-impl crate::server::BatchEngine for FleetBatcher {
-    fn submit(&mut self, req: Request) -> Result<RequestId, ServeError> {
-        FleetBatcher::submit(self, req)
-    }
-
-    fn drain(&mut self) -> Vec<(RequestId, RequestOutcome)> {
-        FleetBatcher::drain(self)
-    }
-
-    fn observe_wall_ms(&mut self, ms: f64) {
-        FleetBatcher::observe_wall_ms(self, ms);
+    fn dispatch(&mut self, queries: &[SessionQuery]) -> Result<PoolResponse, ServeError> {
+        ReplicaPool::dispatch(self, queries)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::Priority;
+    use crate::batcher::{FleetBatcher, Priority, Request, RequestId, ServeConfig};
     use crate::health::BreakerState;
     use nextdoor_apps::KHop;
     use nextdoor_graph::gen::{rmat, RmatParams};
@@ -1052,18 +746,17 @@ mod tests {
 
     fn pool_with_plans(plans: Vec<FaultPlan>, cfg: PoolConfig) -> ReplicaPool {
         let g = graph();
-        let gpus = plans
+        let devices = plans
             .into_iter()
             .map(|p| {
                 let mut gpu = Gpu::new(GpuSpec::small());
                 if !p.is_empty() {
                     gpu.inject_faults(p);
                 }
-                gpu
+                (gpu, app())
             })
-            .collect::<Vec<_>>();
-        let apps = (0..gpus.len()).map(|_| app()).collect();
-        ReplicaPool::new(gpus, &g, apps, cfg).unwrap()
+            .collect();
+        ReplicaPool::new(devices, &g, cfg).unwrap()
     }
 
     fn req(seed: u64) -> Request {

@@ -1,5 +1,6 @@
 //! The asynchronous face of the serving layer: a scheduler thread that
-//! owns the [`MicroBatcher`] and answers concurrent clients.
+//! owns a [`Batcher`](crate::batcher::Batcher) — over one session or a
+//! replica pool — and answers concurrent clients.
 //!
 //! [`SampleServer::start`] moves a batcher onto a dedicated host thread.
 //! Clients ([`ServeClient`]) submit requests from any thread and get a
@@ -27,10 +28,11 @@ use crate::error::ServeError;
 pub type RequestOutcome = Result<Response, ServeError>;
 
 /// Anything the scheduler thread can drive: a bounded admission step plus
-/// a drain step that serves everything admitted. Implemented by the
-/// single-session [`MicroBatcher`] and the replicated
-/// [`FleetBatcher`](crate::replica::FleetBatcher), so the same
-/// [`SampleServer`] fronts either a lone device or a fault-tolerant pool.
+/// a drain step that serves everything admitted. Implemented by every
+/// [`Batcher`](crate::batcher::Batcher) — the single-session
+/// [`MicroBatcher`] and the replicated
+/// [`FleetBatcher`](crate::FleetBatcher) — so the same [`SampleServer`]
+/// fronts either a lone device or a fault-tolerant pool.
 pub trait BatchEngine: Send + 'static {
     /// Admits a request, or rejects it with a typed admission error.
     ///
@@ -49,20 +51,6 @@ pub trait BatchEngine: Send + 'static {
     /// of their deterministic digests (see
     /// [`ServeMetrics`](crate::ServeMetrics)). The default is a no-op.
     fn observe_wall_ms(&mut self, _ms: f64) {}
-}
-
-impl BatchEngine for MicroBatcher {
-    fn submit(&mut self, req: Request) -> Result<RequestId, ServeError> {
-        MicroBatcher::submit(self, req)
-    }
-
-    fn drain(&mut self) -> Vec<(RequestId, RequestOutcome)> {
-        MicroBatcher::drain(self)
-    }
-
-    fn observe_wall_ms(&mut self, ms: f64) {
-        MicroBatcher::observe_wall_ms(self, ms);
-    }
 }
 
 enum Msg {
@@ -126,7 +114,7 @@ impl ServeClient {
 
 /// A sampling service: one scheduler thread owning a [`BatchEngine`] — a
 /// warm session's [`MicroBatcher`] by default, or a replicated
-/// [`FleetBatcher`](crate::replica::FleetBatcher). See the
+/// [`FleetBatcher`](crate::FleetBatcher). See the
 /// [module docs](self).
 pub struct SampleServer<E: BatchEngine = MicroBatcher> {
     tx: Sender<Msg>,

@@ -258,12 +258,14 @@ impl Tracer {
 }
 
 /// The observation state one serving stack carries: its span stream and
-/// its metrics registry. Owned by a [`MicroBatcher`](crate::MicroBatcher)
-/// or a [`ReplicaPool`](crate::ReplicaPool) (the
-/// [`FleetBatcher`](crate::FleetBatcher) records into its pool's), so all
+/// its metrics registry. Owned by the [`Dispatch`](crate::batcher::Dispatch)
+/// backend — a [`SessionBackend`](crate::batcher::SessionBackend) or a
+/// [`ReplicaPool`](crate::ReplicaPool) — and recorded into by both the
+/// backend and the [`Batcher`](crate::batcher::Batcher) above it, so all
 /// recording happens on the one scheduler thread in scheduling order.
+/// Read it through the batcher's `trace()` and `metrics()`.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Obs {
+pub struct Obs {
     pub(crate) trace: Tracer,
     pub(crate) metrics: crate::metrics::ServeMetrics,
 }

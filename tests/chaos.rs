@@ -83,15 +83,10 @@ fn check_golden(name: &str, got: &str) {
 /// fleet.
 fn run_chaos(spec: &GpuSpec) -> (String, String) {
     let (graph, init) = workload();
-    let gpus = vec![
-        Gpu::new(spec.clone()),
-        Gpu::new(spec.clone()),
-        Gpu::new(spec.clone()),
-    ];
+    let devices = (0..3).map(|_| (Gpu::new(spec.clone()), app())).collect();
     let pool = ReplicaPool::new(
-        gpus,
+        devices,
         &graph,
-        vec![app(), app(), app()],
         PoolConfig {
             max_retries: 6,
             backoff_base_ms: 0.05,
@@ -331,15 +326,10 @@ fn chaos_run_recovers_breaker_and_sheds_typed() {
 
     // Re-run the same script but assert on behaviour instead of digests,
     // and check every successful response against the fault-free oracle.
-    let gpus = vec![
-        Gpu::new(spec.clone()),
-        Gpu::new(spec.clone()),
-        Gpu::new(spec.clone()),
-    ];
+    let devices = (0..3).map(|_| (Gpu::new(spec.clone()), app())).collect();
     let pool = ReplicaPool::new(
-        gpus,
+        devices,
         &graph,
-        vec![app(), app(), app()],
         PoolConfig {
             max_retries: 6,
             backoff_base_ms: 0.05,

@@ -306,26 +306,24 @@ fn serve_observability_is_thread_count_invariant() {
     // fleet run that exercises retries, backoff and breaker cool-downs.
     let (graph, init, _) = workload();
     assert_thread_invariant("serve_observability", |spec| {
-        let mk_gpu = |plan: Option<FaultPlan>| {
+        let mk_replica = |plan: Option<FaultPlan>| {
             let mut gpu = Gpu::new(spec.clone());
             if let Some(p) = plan {
                 gpu.inject_faults(p);
             }
-            gpu
+            let app: Box<dyn nextdoor::core::api::SamplingApp + Send> =
+                Box::new(KHop::new(vec![3, 2]));
+            (gpu, app)
         };
         let pool = nextdoor::serve::ReplicaPool::new(
             vec![
-                mk_gpu(None),
-                mk_gpu(Some(FaultPlan {
+                mk_replica(None),
+                mk_replica(Some(FaultPlan {
                     transient_launches: (0..110).collect(),
                     ..FaultPlan::new()
                 })),
             ],
             &graph,
-            vec![
-                Box::new(KHop::new(vec![3, 2])),
-                Box::new(KHop::new(vec![3, 2])),
-            ],
             nextdoor::serve::PoolConfig {
                 max_retries: 6,
                 backoff_base_ms: 0.001,

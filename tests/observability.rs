@@ -143,24 +143,23 @@ fn micro_batcher_spans_and_metrics_reproduce_the_drain() {
 #[test]
 fn fleet_metrics_and_trace_reproduce_the_fleet_report() {
     let (graph, init) = workload();
-    let mk_gpu = |plan: Option<FaultPlan>| {
+    let mk_replica = |plan: Option<FaultPlan>| {
         let mut gpu = Gpu::new(GpuSpec::small());
         if let Some(p) = plan {
             gpu.inject_faults(p);
         }
-        gpu
+        (gpu, app())
     };
     // Replica 1 storms long enough to trip its breaker mid-stream.
     let pool = ReplicaPool::new(
         vec![
-            mk_gpu(None),
-            mk_gpu(Some(FaultPlan {
+            mk_replica(None),
+            mk_replica(Some(FaultPlan {
                 transient_launches: (0..110).collect(),
                 ..FaultPlan::new()
             })),
         ],
         &graph,
-        vec![app(), app()],
         PoolConfig {
             max_retries: 6,
             backoff_base_ms: 0.001,

@@ -206,9 +206,8 @@ proptest! {
             let mut spec = GpuSpec::small();
             spec.host_threads = host_threads;
             let mut solo = SamplerSession::new(spec.clone(), g.clone(), app()).unwrap();
-            let gpus = vec![Gpu::new(spec.clone()), Gpu::new(spec.clone())];
-            let pool = ReplicaPool::new(gpus, &g, vec![app(), app()], PoolConfig::default())
-                .unwrap();
+            let devices = vec![(Gpu::new(spec.clone()), app()), (Gpu::new(spec.clone()), app())];
+            let pool = ReplicaPool::new(devices, &g, PoolConfig::default()).unwrap();
             let mut fleet = FleetBatcher::new(pool, ServeConfig::default()).unwrap();
             // Scheduled relative to current traffic, after the graph
             // uploads — so every generated plan lands on live serving

@@ -9,8 +9,8 @@ use nextdoor::core::{initial_samples_random, run_nextdoor, NextDoorError, Sample
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor::graph::{Csr, Dataset, VertexId};
 use nextdoor::serve::{
-    BatchEngine, MicroBatcher, Request, RequestId, RequestOutcome, SampleServer, ServeConfig,
-    ServeError,
+    BatchEngine, Batcher, Dispatch, MicroBatcher, PoolConfig, ReplicaPool, Request, RequestId,
+    RequestOutcome, SampleServer, ServeConfig, ServeError, SessionBackend,
 };
 
 fn workload() -> (Csr, Vec<Vec<Vec<VertexId>>>) {
@@ -219,8 +219,24 @@ fn faulted_batch_misses_one_deadline_while_batchmates_complete_identically() {
 #[test]
 fn admission_control_rejects_with_typed_errors() {
     let (graph, inits) = workload();
-    let mut batcher = MicroBatcher::new(
-        session(&graph),
+    check_admission::<SessionBackend>(session(&graph), &inits);
+    let pool = ReplicaPool::replicate(
+        &GpuSpec::small(),
+        2,
+        &graph,
+        || Box::new(KHop::new(vec![3, 2])),
+        PoolConfig::default(),
+    )
+    .unwrap();
+    check_admission::<ReplicaPool>(pool, &inits);
+}
+
+/// The admission contract every backend shares: a full queue, invalid
+/// inputs and unmeetable deadlines are typed rejections that never take a
+/// queue slot or reach a device.
+fn check_admission<D: Dispatch>(backend: impl Into<D>, inits: &[Vec<Vec<VertexId>>]) {
+    let mut batcher = Batcher::<D>::new(
+        backend,
         ServeConfig {
             max_queue: 2,
             ..ServeConfig::default()
@@ -241,6 +257,20 @@ fn admission_control_rejects_with_typed_errors() {
         Some(ServeError::Sampling(NextDoorError::RootOutOfRange { .. }))
     ));
     batcher.submit(Request::new(inits[2].clone(), 3)).unwrap();
+    let deadline = |d: f64| Request::new(inits[3].clone(), 5).with_deadline(d);
+    assert!(matches!(
+        batcher.submit(deadline(f64::NAN)).err(),
+        Some(ServeError::InvalidConfig { .. })
+    ));
+    assert_eq!(
+        batcher.submit(deadline(0.0)).err(),
+        Some(ServeError::DeadlineExceeded {
+            deadline_ms: 0.0,
+            observed_ms: 0.0
+        }),
+        "a zero budget is already expired at admission"
+    );
+    assert_eq!(batcher.pending_len(), 1, "rejections hold no queue slot");
 }
 
 #[test]
