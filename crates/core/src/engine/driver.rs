@@ -1,19 +1,24 @@
-//! The shared step loop of the three GPU engines.
+//! The step attempt every placement runs: one kernel sequence and one
+//! retry discipline.
 //!
 //! The engines differ only in how each step's `next` invocations are
-//! scheduled onto the GPU; everything else — transit planning, collective
-//! neighbourhood semantics, uniqueness, termination, fault recovery — is
-//! common and lives in [`run_step_loop`], so that the engines are directly
-//! comparable (and provably produce identical samples). The out-of-GPU-memory
-//! mode (§8.4) reuses the same loop with a residency descriptor that charges
-//! per-step sub-graph transfers.
+//! scheduled onto the GPU ([`exec_step`]); everything else — transit
+//! planning, collective neighbourhood semantics, uniqueness, termination,
+//! fault recovery — is common and lives in [`run_step_loop`], so that the
+//! engines are directly comparable (and provably produce identical
+//! samples). The out-of-GPU-memory mode (§8.4) reuses the same loop with a
+//! residency descriptor that charges per-step sub-graph transfers. The
+//! sharded sampler ([`crate::sharded`]) plans each super-step globally but
+//! runs every shard's slice of it through the same [`exec_step`] inside the
+//! same [`retry_step`], so a placement changes where pairs execute, never
+//! the kernels or the fault handling.
 //!
 //! # Fault recovery
 //!
 //! Device faults (injected via [`nextdoor_gpu::FaultPlan`] or real) surface
 //! through two channels: fallible allocations return `Err(OutOfMemory)`, and
 //! kernel launches record [`nextdoor_gpu::FaultEvent`]s drained with
-//! `take_faults()`. The step loop drains events at step granularity: a step
+//! `take_faults()`. [`retry_step`] drains events at step granularity: a step
 //! whose execution observed any fault discards its outputs and re-executes —
 //! sound because the sampling RNG is counter-based, keyed by
 //! `(seed, sample, step, slot)`, so a re-run is bit-identical. A step still
@@ -74,8 +79,9 @@ pub(crate) fn live_pairs(plan: &StepPlan, num_samples: usize) -> Vec<(VertexId, 
     pairs
 }
 
-/// Executes one step's `next` invocations under `kind`, filling `out`.
-/// Returns the cycles spent building the scheduling index.
+/// Executes one step's `next` invocations under `kind` over the live
+/// pairs in `ex.pairs`, filling `out`. Returns the cycles spent building
+/// the scheduling index.
 ///
 /// `tuning` supplies the session's [`TuningPlan`] (the default plan
 /// reproduces the untuned engine byte-identically) and `cache` the
@@ -98,31 +104,29 @@ pub(crate) fn exec_step(
     mut cache: Option<&mut HotTransitCache>,
     out: &mut StepOut,
 ) -> Result<f64, OutOfMemory> {
-    let ns = ex.store.num_samples();
-    let plan = ex.plan;
+    let (plan, pairs) = (ex.plan, ex.pairs);
     let mut sched_cycles = 0.0;
     match ex.app.sampling_type() {
         SamplingType::Individual => match kind {
             GpuEngineKind::NextDoor => {
-                let pairs = live_pairs(plan, ns);
                 let (sub_warp, max_block) = (tuning.sub_warp_threshold, tuning.max_block_threads);
                 let c0 = gpu.counters().cycles;
                 let memo = cache
                     .as_deref_mut()
-                    .and_then(|c| c.lookup_sched(&pairs, plan.m, sub_warp, max_block));
+                    .and_then(|c| c.lookup_sched(pairs, plan.m, sub_warp, max_block));
                 let (index, classes) = match memo {
                     Some(hit) => hit,
                     None => {
                         let index = build_scheduling_index(
                             gpu,
-                            &pairs,
+                            pairs,
                             ex.graph.num_vertices(),
                             tuning.tight_key_range,
                         )?;
                         let classes =
                             partition_kernel_classes(gpu, &index, plan.m, sub_warp, max_block)?;
                         if let Some(c) = cache.as_deref_mut() {
-                            c.store_sched(&pairs, plan.m, sub_warp, max_block, &index, &classes);
+                            c.store_sched(pairs, plan.m, sub_warp, max_block, &index, &classes);
                         }
                         (index, classes)
                     }
@@ -143,11 +147,10 @@ pub(crate) fn exec_step(
                 run_sample_parallel_kernel(gpu, ex, transit_buf, out);
             }
             GpuEngineKind::VanillaTp => {
-                let pairs = live_pairs(plan, ns);
                 let c0 = gpu.counters().cycles;
                 let index = build_scheduling_index(
                     gpu,
-                    &pairs,
+                    pairs,
                     ex.graph.num_vertices(),
                     tuning.tight_key_range,
                 )?;
@@ -167,11 +170,10 @@ pub(crate) fn exec_step(
             let mut comb = prepare_combined(gpu, ex);
             match kind {
                 GpuEngineKind::NextDoor | GpuEngineKind::VanillaTp => {
-                    let pairs = live_pairs(plan, ns);
                     let c0 = gpu.counters().cycles;
                     let index = build_scheduling_index(
                         gpu,
-                        &pairs,
+                        pairs,
                         ex.graph.num_vertices(),
                         tuning.tight_key_range,
                     )?;
@@ -210,6 +212,56 @@ pub(crate) fn absorb_alloc_fault<T>(
             }
             Ok(None)
         }
+    }
+}
+
+/// Charges one retry of `step` to `report`, or fails with
+/// [`NextDoorError::KernelFault`] once [`MAX_STEP_RETRIES`] are spent.
+pub(crate) fn spend_retry(
+    retries: &mut usize,
+    report: &mut FaultReport,
+    step: usize,
+) -> Result<(), NextDoorError> {
+    if *retries >= MAX_STEP_RETRIES {
+        return Err(NextDoorError::KernelFault {
+            step,
+            retries: *retries,
+        });
+    }
+    *retries += 1;
+    report.step_retries += 1;
+    Ok(())
+}
+
+/// Runs `attempt` until one attempt completes without observing a fault,
+/// charging each re-execution through [`spend_retry`].
+///
+/// A failed allocation is classified by [`absorb_alloc_fault`]; an attempt
+/// that completed but left fault events on the device is discarded, since
+/// its outputs cannot be trusted. Either way the step re-executes, which
+/// is bit-identical because the RNG is keyed by
+/// `(seed, sample, step, slot)`. Device loss returns
+/// [`NextDoorError::DeviceLost`] and is never retried here.
+pub(crate) fn retry_step<T>(
+    gpu: &mut Gpu,
+    report: &mut FaultReport,
+    step: usize,
+    mut attempt: impl FnMut(&mut Gpu) -> Result<T, OutOfMemory>,
+) -> Result<T, NextDoorError> {
+    let mut retries = 0usize;
+    loop {
+        let res = attempt(gpu);
+        if let Some(v) = absorb_alloc_fault(gpu, report, res)? {
+            let events = gpu.take_faults();
+            if events.is_empty() {
+                return Ok(v);
+            }
+            report.absorb(&events);
+            if gpu.device_lost() {
+                return Err(NextDoorError::DeviceLost { device: 0 });
+            }
+        }
+        spend_retry(&mut retries, report, step)?;
     }
 }
 
@@ -264,13 +316,7 @@ pub(crate) fn run_step_loop(
             let res = gpu.try_to_device(&init_flat);
             match absorb_alloc_fault(gpu, &mut report, res)? {
                 Some(b) => break b,
-                None => {
-                    if retries >= MAX_STEP_RETRIES {
-                        return Err(NextDoorError::KernelFault { step: 0, retries });
-                    }
-                    retries += 1;
-                    report.step_retries += 1;
-                }
+                None => spend_retry(&mut retries, &mut report, 0)?,
             }
         }
     };
@@ -297,84 +343,33 @@ pub(crate) fn run_step_loop(
             transfer_cycles += gpu.counters().cycles - c0;
         }
         let ns = store.num_samples();
-        let mut retries = 0usize;
-        let step_launch0 = gpu.launches_issued();
-        let (values, edges, step_buf) = loop {
-            // A faulted attempt falls through to the retry bookkeeping at
-            // the bottom; allocation faults restart the attempt directly.
-            let res = gpu.try_alloc::<u32>(ns * plan.tps);
-            let Some(transit_buf) = absorb_alloc_fault(gpu, &mut report, res)? else {
-                if retries >= MAX_STEP_RETRIES {
-                    return Err(NextDoorError::KernelFault { step, retries });
-                }
-                retries += 1;
-                report.step_retries += 1;
-                continue;
-            };
-            charge_step_transits(gpu, &prev_buf, &transit_buf, &plan.transits, plan.tps);
-            let res = StepOut::try_new(gpu, ns, plan.slots);
-            let Some(mut out) = absorb_alloc_fault(gpu, &mut report, res)? else {
-                if retries >= MAX_STEP_RETRIES {
-                    return Err(NextDoorError::KernelFault { step, retries });
-                }
-                retries += 1;
-                report.step_retries += 1;
-                continue;
-            };
-            {
-                let ex = StepExec {
-                    graph,
-                    gg,
-                    app,
-                    store: &store,
-                    plan: &plan,
-                    keys,
-                };
-                let res = exec_step(
-                    gpu,
-                    &ex,
-                    kind,
-                    &transit_buf,
-                    tuning,
-                    cache.as_deref_mut(),
-                    &mut out,
-                );
-                let Some(cycles) = absorb_alloc_fault(gpu, &mut report, res)? else {
-                    if retries >= MAX_STEP_RETRIES {
-                        return Err(NextDoorError::KernelFault { step, retries });
-                    }
-                    retries += 1;
-                    report.step_retries += 1;
-                    continue;
-                };
-                sched_cycles += cycles;
-            }
-            let StepOut {
-                mut values,
-                edges,
-                step_buf,
-            } = out;
-            if app.unique(step) {
-                unique::dedup_values_gpu(gpu, &mut values, plan.slots, ns);
-            }
-            let events = gpu.take_faults();
-            if events.is_empty() {
-                break (values, edges, step_buf);
-            }
-            // The attempt observed at least one fault: its outputs cannot
-            // be trusted. Discard them and re-execute — the RNG is keyed by
-            // (seed, sample, step, slot), so a clean re-run reproduces the
-            // exact values a fault-free run would have produced.
-            report.absorb(&events);
-            if gpu.device_lost() {
-                return Err(NextDoorError::DeviceLost { device: 0 });
-            }
-            if retries >= MAX_STEP_RETRIES {
-                return Err(NextDoorError::KernelFault { step, retries });
-            }
-            retries += 1;
-            report.step_retries += 1;
+        let pairs = live_pairs(&plan, ns);
+        let ex = StepExec {
+            graph,
+            gg,
+            app,
+            store: &store,
+            plan: &plan,
+            pairs: &pairs,
+            keys,
         };
+        let step_launch0 = gpu.launches_issued();
+        let out = retry_step(gpu, &mut report, step, |gpu| {
+            let transit_buf = gpu.try_alloc::<u32>(ns * plan.tps)?;
+            charge_step_transits(gpu, &prev_buf, &transit_buf, &plan.transits, plan.tps);
+            let mut out = StepOut::try_new(gpu, ns, plan.slots)?;
+            let cache = cache.as_deref_mut();
+            sched_cycles += exec_step(gpu, &ex, kind, &transit_buf, tuning, cache, &mut out)?;
+            if app.unique(step) {
+                unique::dedup_values_gpu(gpu, &mut out.values, plan.slots, ns);
+            }
+            Ok(out)
+        })?;
+        let StepOut {
+            values,
+            edges,
+            step_buf,
+        } = out;
         let live_this_step = values.iter().any(|&v| v != NULL_VERTEX);
         finish_step(app, &mut store, &plan, values, edges);
         steps_run += 1;

@@ -26,6 +26,9 @@ pub(crate) struct StepExec<'a> {
     pub app: &'a dyn SamplingApp,
     pub store: &'a SampleStore,
     pub plan: &'a StepPlan,
+    /// The live `(transit, pair_id)` pairs this device executes: all of
+    /// the step's pairs on one device, the owned slice on a shard.
+    pub pairs: &'a [(VertexId, u32)],
     pub keys: &'a SampleKeys,
 }
 
@@ -650,6 +653,7 @@ mod tests {
             app: &Walk,
             store: &store,
             plan: &plan,
+            pairs: &[],
             keys: &keys,
         };
         let mut values = vec![NULL_VERTEX; plan.slots];

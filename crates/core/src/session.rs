@@ -77,6 +77,74 @@ pub struct SessionQuery {
     pub seed: u64,
 }
 
+/// One width class of a fused batch: the queries sharing an initial width,
+/// concatenated into one store whose [`SampleKeys`] map every fused sample
+/// back to its query's `(seed, local id)`. That keying is what makes each
+/// query's slice bit-identical to its standalone run.
+pub(crate) struct WidthClass {
+    /// Initial vertices per sample shared by the class's queries.
+    pub width: usize,
+    /// Submission-order indices of the class's queries.
+    pub members: Vec<usize>,
+    /// The members' initial samples, concatenated in member order.
+    pub init: Vec<Vec<VertexId>>,
+    /// Per-sample RNG keys of `init`.
+    pub keys: SampleKeys,
+}
+
+impl WidthClass {
+    /// Validates every query and groups the batch into width classes in
+    /// order of first appearance.
+    pub(crate) fn split(
+        graph: &Csr,
+        app: &dyn SamplingApp,
+        queries: &[SessionQuery],
+    ) -> Result<Vec<WidthClass>, NextDoorError> {
+        if queries.is_empty() {
+            return Err(NextDoorError::EmptyInit);
+        }
+        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+        for (qi, q) in queries.iter().enumerate() {
+            validate_run(graph, app, &q.init)?;
+            let width = q.init[0].len();
+            match groups.iter_mut().find(|(w, _)| *w == width) {
+                Some((_, members)) => members.push(qi),
+                None => groups.push((width, vec![qi])),
+            }
+        }
+        let classes = groups.into_iter().map(|(width, members)| {
+            let qs = members.iter().map(|&qi| &queries[qi]);
+            let init = qs.clone().flat_map(|q| q.init.iter().cloned()).collect();
+            let map = qs
+                .flat_map(|q| (0..q.init.len() as u64).map(move |local| (q.seed, local)))
+                .collect();
+            WidthClass {
+                width,
+                members,
+                init,
+                keys: SampleKeys::fused(map),
+            }
+        });
+        Ok(classes.collect())
+    }
+
+    /// Slices the class's result `store` back into `per_query`, at each
+    /// member's submission index.
+    pub(crate) fn scatter(
+        &self,
+        queries: &[SessionQuery],
+        store: &SampleStore,
+        per_query: &mut [Option<SampleStore>],
+    ) {
+        let mut start = 0;
+        for &qi in &self.members {
+            let len = queries[qi].init.len();
+            per_query[qi] = Some(store.slice(start, len));
+            start += len;
+        }
+    }
+}
+
 /// Where one width class of a fused batch landed on the device: its launch
 /// indices and simulated-cycle interval. Surfaced so the serving tier's
 /// tracer can record a span per class launch sequence and link it to the
@@ -311,22 +379,7 @@ impl SamplerSession {
     /// as for [`SamplerSession::query`]; a runtime error in any width
     /// class fails the whole batch.
     pub fn query_fused(&mut self, queries: &[SessionQuery]) -> Result<FusedResult, NextDoorError> {
-        if queries.is_empty() {
-            return Err(NextDoorError::EmptyInit);
-        }
-        for q in queries {
-            validate_run(&self.graph, self.app.as_ref(), &q.init)?;
-        }
-        // Width classes in order of first appearance, each holding the
-        // submission-order indices of its queries.
-        let mut classes: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (qi, q) in queries.iter().enumerate() {
-            let w = q.init[0].len();
-            match classes.iter_mut().find(|(cw, _)| *cw == w) {
-                Some((_, members)) => members.push(qi),
-                None => classes.push((w, vec![qi])),
-            }
-        }
+        let classes = WidthClass::split(&self.graph, self.app.as_ref(), queries)?;
         // One counter/launch snapshot brackets *all* classes, so the
         // aggregate stats and profile account for the whole batch exactly
         // (the same arithmetic as `finish_run`, over the combined span).
@@ -337,21 +390,9 @@ impl SamplerSession {
         let mut sched_cycles = 0.0f64;
         let mut steps_run = 0usize;
         let mut step_marks: Vec<(usize, u64, u64)> = Vec::new();
-        let mut tagged: Vec<(usize, SampleStore)> = Vec::with_capacity(queries.len());
+        let mut per_query: Vec<Option<SampleStore>> = vec![None; queries.len()];
         let mut class_marks = Vec::with_capacity(classes.len());
-        for (width, members) in &classes {
-            let mut init = Vec::new();
-            let mut map = Vec::new();
-            let mut ranges = Vec::with_capacity(members.len());
-            for &qi in members {
-                let q = &queries[qi];
-                ranges.push((qi, init.len(), q.init.len()));
-                for (local, s) in q.init.iter().enumerate() {
-                    init.push(s.clone());
-                    map.push((q.seed, local as u64));
-                }
-            }
-            let keys = SampleKeys::fused(map);
+        for class in &classes {
             // Bracket the class's launch sequence so the serving tracer can
             // address its kernel records by launch index.
             let class_launch0 = self.gpu.launches_issued();
@@ -361,16 +402,16 @@ impl SamplerSession {
                 &self.graph,
                 &self.gg,
                 self.app.as_ref(),
-                &init,
-                &keys,
+                &class.init,
+                &class.keys,
                 GpuEngineKind::NextDoor,
                 None,
                 &self.plan,
                 self.cache.as_mut(),
             )?;
             class_marks.push(ClassMark {
-                width: *width,
-                queries: members.len(),
+                width: class.width,
+                queries: class.members.len(),
                 launch_start: class_launch0,
                 launch_end: self.gpu.launches_issued(),
                 start_cycles: class_cycles0,
@@ -380,9 +421,7 @@ impl SamplerSession {
             steps_run += out.steps_run;
             report.merge(&out.report);
             step_marks.extend(out.step_marks);
-            for (qi, start, len) in ranges {
-                tagged.push((qi, out.store.slice(start, len)));
-            }
+            class.scatter(queries, &out.store, &mut per_query);
         }
         self.queries_served += queries.len() as u64;
         let counters = self.gpu.counters().diff(&counters0);
@@ -390,9 +429,8 @@ impl SamplerSession {
         let total_ms = self.gpu.spec().cycles_to_ms(counters.cycles);
         let scheduling_ms = self.gpu.spec().cycles_to_ms(sched_cycles);
         self.after_query(&profile);
-        tagged.sort_by_key(|(qi, _)| *qi);
         Ok(FusedResult {
-            per_query: tagged.into_iter().map(|(_, s)| s).collect(),
+            per_query: per_query.into_iter().flatten().collect(),
             launches,
             class_marks,
             stats: EngineStats {

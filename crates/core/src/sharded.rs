@@ -12,9 +12,10 @@
 //!
 //! Execution proceeds in **super-steps** on a shared fleet clock: at each
 //! step the engine plans the global transit array, routes every live
-//! `(transit, pair)` onto the transit's owner shard, runs the NextDoor
-//! transit-parallel kernels per shard against that shard's row-masked
-//! sub-graph, and merges the outputs back into one global store before the
+//! `(transit, pair)` onto the transit's owner shard, runs each shard's
+//! slice through the driver's `exec_step` and `retry_step` (the same
+//! NextDoor kernel sequence and retry discipline a single device runs)
+//! against that shard's row-masked sub-graph, and merges the outputs back into one global store before the
 //! next step is planned. Walkers whose next transit lives on another shard
 //! are *handed off* during the exchange phase between super-steps, in
 //! canonical shard order; the simulated clock advances by the slowest
@@ -74,17 +75,17 @@
 //! ```
 
 use crate::api::{SamplingApp, SamplingType, NULL_VERTEX};
-use crate::engine::driver::{absorb_alloc_fault, live_pairs, MAX_STEP_RETRIES};
-use crate::engine::kernels::{
-    block_class_work, charge_step_transits, grid_class_work, run_subwarp_kernel,
-    run_transit_block_kernel, StepExec, StepOut,
+use crate::engine::driver::{
+    absorb_alloc_fault, exec_step, live_pairs, retry_step, spend_retry, GpuEngineKind,
 };
-use crate::engine::scheduling::{build_scheduling_index, partition_kernel_classes};
+use crate::engine::kernels::{charge_step_transits, StepExec, StepOut};
 use crate::engine::{finish_step, plan_step, step_budget, SampleKeys};
 use crate::error::{validate_run, FaultReport, NextDoorError};
 use crate::gpu_graph::GpuGraph;
+use crate::session::{SessionQuery, WidthClass};
 use crate::store::SampleStore;
-use nextdoor_gpu::{DeviceBuffer, Gpu, GpuSpec, WARP_SIZE};
+use crate::tuning::TuningPlan;
+use nextdoor_gpu::{DeviceBuffer, Gpu, GpuSpec};
 use nextdoor_graph::{cluster_vertices, Clustering, Csr, PartitionStats, VertexId};
 
 /// Simulated bytes a hand-off transfers per walker: the walker's global
@@ -192,16 +193,6 @@ struct Shard {
     csr: Csr,
     gg: GpuGraph,
     dead: bool,
-}
-
-/// How a shard-local fallible operation resolved.
-enum ShardOp<T> {
-    /// The operation succeeded.
-    Got(T),
-    /// An injected fault was absorbed; retry the operation.
-    Retry,
-    /// The shard's device was lost; the shard is out of the fleet.
-    Died,
 }
 
 /// A graph-sharded sampler: the graph partitioned over `num_shards`
@@ -422,22 +413,9 @@ impl ShardedSampler {
     /// errors of [`ShardedSampler::query`].
     pub fn query_fused(
         &mut self,
-        queries: &[crate::session::SessionQuery],
+        queries: &[SessionQuery],
     ) -> Result<ShardedFusedResult, NextDoorError> {
-        if queries.is_empty() {
-            return Err(NextDoorError::EmptyInit);
-        }
-        for q in queries {
-            validate_run(&self.graph, self.app.as_ref(), &q.init)?;
-        }
-        let mut classes: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (qi, q) in queries.iter().enumerate() {
-            let w = q.init[0].len();
-            match classes.iter_mut().find(|(cw, _)| *cw == w) {
-                Some((_, members)) => members.push(qi),
-                None => classes.push((w, vec![qi])),
-            }
-        }
+        let classes = WidthClass::split(&self.graph, self.app.as_ref(), queries)?;
         let launch0: Vec<u64> = self
             .shards
             .iter()
@@ -451,21 +429,9 @@ impl ShardedSampler {
         let mut handoff_bytes = 0u64;
         let mut walkers_lost = 0u64;
         let mut super_steps = Vec::new();
-        let mut tagged: Vec<(usize, SampleStore)> = Vec::with_capacity(queries.len());
-        for (_width, members) in &classes {
-            let mut init = Vec::new();
-            let mut map = Vec::new();
-            let mut ranges = Vec::with_capacity(members.len());
-            for &qi in members {
-                let q = &queries[qi];
-                ranges.push((qi, init.len(), q.init.len()));
-                for (local, s) in q.init.iter().enumerate() {
-                    init.push(s.clone());
-                    map.push((q.seed, local as u64));
-                }
-            }
-            let keys = SampleKeys::fused(map);
-            let out = self.run_batch(&init, &keys)?;
+        let mut per_query: Vec<Option<SampleStore>> = vec![None; queries.len()];
+        for class in &classes {
+            let out = self.run_batch(&class.init, &class.keys)?;
             report.merge(&out.report);
             for (sr, r) in shard_reports.iter_mut().zip(&out.shard_reports) {
                 sr.merge(r);
@@ -475,12 +441,9 @@ impl ShardedSampler {
             handoff_bytes += out.handoff_bytes;
             walkers_lost += out.walkers_lost;
             super_steps.extend(out.super_steps);
-            for (qi, start, len) in ranges {
-                tagged.push((qi, out.store.slice(start, len)));
-            }
+            class.scatter(queries, &out.store, &mut per_query);
         }
         self.queries_served += queries.len() as u64;
-        tagged.sort_by_key(|(qi, _)| *qi);
         let shard_launches: Vec<(u64, u64)> = self
             .shards
             .iter()
@@ -488,7 +451,7 @@ impl ShardedSampler {
             .map(|(s, &l0)| (l0, s.gpu.launches_issued()))
             .collect();
         Ok(ShardedFusedResult {
-            per_query: tagged.into_iter().map(|(_, s)| s).collect(),
+            per_query: per_query.into_iter().flatten().collect(),
             launches,
             elapsed_ms,
             report,
@@ -535,19 +498,14 @@ impl ShardedSampler {
             let mut retries = 0usize;
             let buf = loop {
                 let res = shard.gpu.try_to_device(&init_flat);
-                match classify(&mut shard.gpu, &mut shard_reports[s], res)? {
-                    ShardOp::Got(b) => break Some(b),
-                    ShardOp::Died => {
+                match absorb_alloc_fault(&mut shard.gpu, &mut shard_reports[s], res) {
+                    Ok(Some(b)) => break Some(b),
+                    Ok(None) => spend_retry(&mut retries, &mut shard_reports[s], 0)?,
+                    Err(NextDoorError::DeviceLost { .. }) => {
                         shard.dead = true;
                         break None;
                     }
-                    ShardOp::Retry => {
-                        if retries >= MAX_STEP_RETRIES {
-                            return Err(NextDoorError::KernelFault { step: 0, retries });
-                        }
-                        retries += 1;
-                        shard_reports[s].step_retries += 1;
-                    }
+                    Err(e) => return Err(e),
                 }
             };
             init_ms = init_ms.max(self.spec.cycles_to_ms(shard.gpu.counters().cycles - c0));
@@ -625,25 +583,28 @@ impl ShardedSampler {
             let mut shard_ms = vec![0.0f64; num_shards];
             for s in 0..num_shards {
                 let owned = &shard_pairs[s];
-                if self.shards[s].dead {
+                let shard = &mut self.shards[s];
+                if shard.dead {
                     walkers_lost += owned.len() as u64;
                     continue;
                 }
-                let c0 = self.shards[s].gpu.counters().cycles;
-                let outcome = run_shard_step(
-                    &mut self.shards[s],
-                    &mut shard_reports[s],
+                let c0 = shard.gpu.counters().cycles;
+                let ex = StepExec {
+                    graph: &shard.csr,
+                    gg: &shard.gg,
                     app,
-                    &store,
-                    &plan,
+                    store: &store,
+                    plan: &plan,
+                    pairs: owned,
                     keys,
-                    owned,
+                };
+                let outcome = run_shard_step(
+                    &mut shard.gpu,
+                    &mut shard_reports[s],
+                    &ex,
                     prev_bufs[s].as_ref(),
-                    ns,
                 )?;
-                shard_ms[s] = self
-                    .spec
-                    .cycles_to_ms(self.shards[s].gpu.counters().cycles - c0);
+                shard_ms[s] = self.spec.cycles_to_ms(shard.gpu.counters().cycles - c0);
                 match outcome {
                     Some(out) => {
                         for &(_, pair_id) in owned {
@@ -666,7 +627,7 @@ impl ShardedSampler {
                     None => {
                         // The shard died mid-step: its attempt's outputs
                         // are discarded, its walkers end at the boundary.
-                        self.shards[s].dead = true;
+                        shard.dead = true;
                         prev_bufs[s] = None;
                         walkers_lost += owned.len() as u64;
                     }
@@ -728,145 +689,56 @@ impl ShardedSampler {
     }
 }
 
-/// Classifies a shard-local fallible device operation. Unlike the
-/// single-device loop, device loss is not an error here: the shard leaves
-/// the fleet and the run continues degraded.
-fn classify<T>(
+/// Runs one shard's slice of a super-step: the pairs the shard owns go
+/// through the driver's [`exec_step`] (the NextDoor kernels under the
+/// default tuning plan) inside its [`retry_step`], against the shard's
+/// row-masked sub-graph. Returns `Ok(None)` when the shard's device was
+/// lost (the caller marks it dead); transient faults re-execute the slice
+/// bit-identically, and exhausting the retry budget fails the run.
+fn run_shard_step(
     gpu: &mut Gpu,
     report: &mut FaultReport,
-    res: Result<T, nextdoor_gpu::OutOfMemory>,
-) -> Result<ShardOp<T>, NextDoorError> {
-    match absorb_alloc_fault(gpu, report, res) {
-        Ok(Some(v)) => Ok(ShardOp::Got(v)),
-        Ok(None) => Ok(ShardOp::Retry),
-        Err(NextDoorError::DeviceLost { .. }) => Ok(ShardOp::Died),
-        Err(e) => Err(e),
-    }
-}
-
-/// Runs one shard's slice of a super-step with the driver's retry
-/// discipline. Returns `Ok(None)` when the shard's device was lost (the
-/// caller marks it dead); transient faults re-execute the slice
-/// bit-identically, and exhausting the retry budget fails the run.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_step(
-    shard: &mut Shard,
-    report: &mut FaultReport,
-    app: &dyn SamplingApp,
-    store: &SampleStore,
-    plan: &crate::engine::StepPlan,
-    keys: &SampleKeys,
-    owned: &[(VertexId, u32)],
+    ex: &StepExec<'_>,
     prev_buf: Option<&DeviceBuffer<u32>>,
-    ns: usize,
 ) -> Result<Option<StepOut>, NextDoorError> {
-    if shard.gpu.device_lost() {
+    if gpu.device_lost() {
         return Ok(None);
     }
-    let gpu = &mut shard.gpu;
-    let transits: Vec<VertexId> = owned.iter().map(|&(t, _)| t).collect();
-    let mut retries = 0usize;
-    loop {
+    let transits: Vec<VertexId> = ex.pairs.iter().map(|&(t, _)| t).collect();
+    let ns = ex.store.num_samples();
+    let res = retry_step(gpu, report, ex.plan.step, |gpu| {
         // Transit staging: one slot per owned pair. The transit values are
         // authoritative from the global plan; the kernel charge reads the
         // shard's previous frontier buffer (per-pair granularity, tps = 1).
-        let res = gpu.try_alloc::<u32>(transits.len());
-        let transit_buf = match classify(gpu, report, res)? {
-            ShardOp::Got(b) => b,
-            ShardOp::Died => return Ok(None),
-            ShardOp::Retry => {
-                if retries >= MAX_STEP_RETRIES {
-                    return Err(NextDoorError::KernelFault {
-                        step: plan.step,
-                        retries,
-                    });
-                }
-                retries += 1;
-                report.step_retries += 1;
-                continue;
-            }
-        };
+        let transit_buf = gpu.try_alloc::<u32>(transits.len())?;
         if let Some(prev) = prev_buf {
             charge_step_transits(gpu, prev, &transit_buf, &transits, 1);
         }
         // Every live shard allocates its frontier buffer each super-step
         // (even with no owned pairs) so the next step's charge has a
         // correctly-sized previous frontier.
-        let res = StepOut::try_new(gpu, ns, plan.slots);
-        let mut out = match classify(gpu, report, res)? {
-            ShardOp::Got(o) => o,
-            ShardOp::Died => return Ok(None),
-            ShardOp::Retry => {
-                if retries >= MAX_STEP_RETRIES {
-                    return Err(NextDoorError::KernelFault {
-                        step: plan.step,
-                        retries,
-                    });
-                }
-                retries += 1;
-                report.step_retries += 1;
-                continue;
-            }
-        };
-        if !owned.is_empty() {
-            let ex = StepExec {
-                graph: &shard.csr,
-                gg: &shard.gg,
-                app,
-                store,
-                plan,
-                keys,
-            };
-            // The shard's scheduling index is the global one restricted to
-            // the transits it owns: routing is by transit, so a transit's
-            // whole segment lands on one shard and the kernel-class split
-            // is preserved.
-            let res = build_scheduling_index(gpu, owned, ex.graph.num_vertices(), false).and_then(
-                |index| {
-                    partition_kernel_classes(gpu, &index, plan.m, WARP_SIZE, 1024)
-                        .map(|classes| (index, classes))
-                },
-            );
-            let (index, classes) = match classify(gpu, report, res)? {
-                ShardOp::Got(ic) => ic,
-                ShardOp::Died => return Ok(None),
-                ShardOp::Retry => {
-                    if retries >= MAX_STEP_RETRIES {
-                        return Err(NextDoorError::KernelFault {
-                            step: plan.step,
-                            retries,
-                        });
-                    }
-                    retries += 1;
-                    report.step_retries += 1;
-                    continue;
-                }
-            };
-            let tune = crate::tuning::KernelTuning::baseline();
-            run_subwarp_kernel(gpu, &ex, &index, &classes.sub_warp, &tune, &mut out);
-            let bw = block_class_work(&index, &classes.block);
-            run_transit_block_kernel(gpu, "nextdoor_block", &ex, &index, &bw, &tune, &mut out);
-            let gw = grid_class_work(&index, &classes.grid, plan.m, 1024);
-            run_transit_block_kernel(gpu, "nextdoor_grid", &ex, &index, &gw, &tune, &mut out);
+        let mut out = StepOut::try_new(gpu, ns, ex.plan.slots)?;
+        // An empty shard launches no scheduling kernels. Routing is by
+        // transit, so a transit's whole segment lands on one shard and the
+        // kernel-class split is the global one restricted to this shard.
+        if !ex.pairs.is_empty() {
+            let plan = TuningPlan::default();
+            exec_step(
+                gpu,
+                ex,
+                GpuEngineKind::NextDoor,
+                &transit_buf,
+                &plan,
+                None,
+                &mut out,
+            )?;
         }
-        let events = gpu.take_faults();
-        if events.is_empty() {
-            return Ok(Some(out));
-        }
-        // A faulted attempt's outputs cannot be trusted; discard and
-        // re-execute. Counter-keyed RNG makes the re-run bit-identical.
-        report.absorb(&events);
-        if gpu.device_lost() {
-            return Ok(None);
-        }
-        if retries >= MAX_STEP_RETRIES {
-            return Err(NextDoorError::KernelFault {
-                step: plan.step,
-                retries,
-            });
-        }
-        retries += 1;
-        report.step_retries += 1;
+        Ok(out)
+    });
+    match res {
+        Ok(out) => Ok(Some(out)),
+        Err(NextDoorError::DeviceLost { .. }) => Ok(None),
+        Err(e) => Err(e),
     }
 }
 

@@ -39,7 +39,7 @@ use crate::trace::{Obs, Span, SpanKind, Tracer};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_core::session::SessionQuery;
 use nextdoor_core::sharded::{ShardedFusedResult, ShardedSampler};
-use nextdoor_core::{FaultReport, NextDoorError, SampleStore};
+use nextdoor_core::{validate_run, FaultReport, NextDoorError, SampleStore};
 use nextdoor_gpu::{FaultPlan, GpuSpec};
 use nextdoor_graph::{Csr, PartitionStats};
 
@@ -186,16 +186,18 @@ impl ShardedPool {
 
     /// Routes and runs one batch of queries.
     ///
-    /// Each query is admitted against its home shard (the owner of its
-    /// first seed vertex): dead shard → [`ServeError::ShardLost`], open
-    /// breaker → [`ServeError::Overloaded`]. Admitted queries run as one
-    /// fused sharded batch, bit-identical per query to standalone runs.
+    /// Each query is validated on its own (an invalid one gets
+    /// [`ServeError::Sampling`] in its slot) and admitted against its home
+    /// shard (the owner of its first seed vertex): dead shard →
+    /// [`ServeError::ShardLost`], open breaker → [`ServeError::Overloaded`].
+    /// Admitted queries run as one fused sharded batch, bit-identical per
+    /// query to standalone runs.
     ///
     /// # Errors
     ///
-    /// A batch-level engine failure (validation, genuine OOM, retry
-    /// exhaustion) fails the whole call; per-query sheds are typed inside
-    /// [`ShardDispatch::results`].
+    /// An empty batch, or a batch-level engine failure (genuine OOM, retry
+    /// exhaustion), fails the whole call; per-query rejections and sheds
+    /// are typed inside [`ShardDispatch::results`].
     pub fn dispatch(&mut self, queries: &[SessionQuery]) -> Result<ShardDispatch, ServeError> {
         if queries.is_empty() {
             return Err(ServeError::Sampling(NextDoorError::EmptyInit));
@@ -209,8 +211,14 @@ impl ShardedPool {
             (0..queries.len()).map(|_| None).collect();
         let mut admitted: Vec<usize> = Vec::with_capacity(queries.len());
         for (qi, q) in queries.iter().enumerate() {
-            if q.init.is_empty() || q.init[0].is_empty() {
-                results[qi] = Some(Err(ServeError::Sampling(NextDoorError::EmptyInit)));
+            // Width 0 passes `validate_run` but has no home shard.
+            let valid = if q.init.first().is_none_or(Vec::is_empty) {
+                Err(NextDoorError::EmptyInit)
+            } else {
+                validate_run(self.sampler.graph(), self.sampler.app(), &q.init)
+            };
+            if let Err(e) = valid {
+                results[qi] = Some(Err(ServeError::Sampling(e)));
                 continue;
             }
             let home = self.sampler.home_shard(&q.init[0]);
@@ -550,6 +558,48 @@ mod tests {
         assert!(rep.fleet_ms > 0.0);
         assert!(rep.digest().contains("handoffs"));
         assert!(rep.super_steps > 0);
+    }
+
+    #[test]
+    fn invalid_queries_fail_alone_while_valid_ones_serve() {
+        let (mut p, g) = pool(2);
+        let mut qs = queries(2);
+        let out_of_range = SessionQuery {
+            init: vec![vec![3], vec![256]],
+            seed: 7,
+        };
+        let ragged = SessionQuery {
+            init: vec![vec![1, 2], vec![3]],
+            seed: 8,
+        };
+        qs.insert(1, out_of_range);
+        qs.insert(2, ragged);
+        let d = p.dispatch(&qs).unwrap();
+        assert_eq!(d.results.len(), 4);
+        for qi in [0, 3] {
+            let store = d.results[qi].as_ref().expect("valid query serves");
+            let q = &qs[qi];
+            let mut gpu = Gpu::new(GpuSpec::small());
+            let solo = run_nextdoor(&mut gpu, &g, &Walk, &q.init, q.seed).unwrap();
+            assert_eq!(store.final_samples(), solo.store.final_samples());
+        }
+        assert!(matches!(
+            d.results[1],
+            Err(ServeError::Sampling(NextDoorError::RootOutOfRange {
+                sample: 1,
+                vertex: 256,
+                ..
+            }))
+        ));
+        assert!(matches!(
+            d.results[2],
+            Err(ServeError::Sampling(NextDoorError::UnequalInitSizes {
+                expected: 2,
+                got: 1,
+                sample: 1
+            }))
+        ));
+        assert_eq!(p.report().requests, 4);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use nextdoor::apps::{DeepWalk, KHop};
 use nextdoor::core::session::SessionQuery;
-use nextdoor::core::{run_nextdoor, SampleStore, SamplingApp, ShardedSampler};
+use nextdoor::core::{run_nextdoor, NextDoorError, SampleStore, SamplingApp, ShardedSampler};
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor::graph::gen::{rmat, RmatParams};
 use nextdoor::graph::{Csr, GraphBuilder, VertexId};
@@ -41,6 +41,25 @@ fn arb_graph() -> impl Strategy<Value = Csr> {
         }
         b.build().expect("endpoints in range")
     })
+}
+
+/// A fault script without device loss, shaped like the property suite's:
+/// an optional failed allocation and an optional transient kernel fault.
+fn arb_transient_plan() -> impl Strategy<Value = FaultPlan> {
+    (
+        proptest::option::weighted(0.5, 0u64..5),
+        proptest::option::weighted(0.5, 0u64..12),
+    )
+        .prop_map(|(alloc, transient)| {
+            let mut plan = FaultPlan::new();
+            if let Some(i) = alloc {
+                plan = plan.fail_alloc(i);
+            }
+            if let Some(i) = transient {
+                plan = plan.transient_at_launch(i);
+            }
+            plan
+        })
 }
 
 /// The individual-transit apps the sharded engine supports.
@@ -110,6 +129,89 @@ proptest! {
             prop_assert_eq!(digest(got), digest(&want.store));
         }
     }
+
+    #[test]
+    fn faulty_shard_retries_to_single_device_samples(
+        g in arb_graph(),
+        shards in 2usize..=3,
+        faulty in 0usize..3,
+        app_idx in arb_app(),
+        seed in 0u64..1000,
+        plan in arb_transient_plan(),
+    ) {
+        // One failed allocation and one transient fault are always within
+        // the retry budget: the run recovers bit-identically, and every
+        // fault the shard observed cost at least one step retry.
+        let init: Vec<Vec<VertexId>> =
+            (0..8).map(|i| vec![(i * 7 + seed as u32) % 64]).collect();
+        let faulty = faulty % shards;
+        let mut sharded =
+            ShardedSampler::new(GpuSpec::small(), g.clone(), make_app(app_idx), shards, 5)
+                .unwrap();
+        sharded.schedule_faults(faulty, plan);
+        let out = sharded.query(&init, seed).unwrap();
+        let mut gpu = Gpu::new(GpuSpec::small());
+        let solo = run_nextdoor(&mut gpu, &g, make_app(app_idx).as_ref(), &init, seed).unwrap();
+        prop_assert_eq!(digest(&out.store), digest(&solo.store));
+        prop_assert_eq!(out.walkers_lost, 0);
+        let r = &out.shard_reports[faulty];
+        if r.alloc_faults + r.transient_faults > 0 {
+            prop_assert!(r.step_retries > 0, "fired plan without a retry: {:?}", r);
+        }
+        prop_assert_eq!(out.report.step_retries, r.step_retries);
+    }
+}
+
+fn walk_fleet(shards: usize) -> (Csr, Vec<Vec<VertexId>>, ShardedSampler) {
+    let graph = rmat(8, 2000, RmatParams::SKEWED, 3);
+    let init: Vec<Vec<VertexId>> = (0..16).map(|i| vec![i * 13 % 256]).collect();
+    let sampler = ShardedSampler::new(
+        GpuSpec::small(),
+        graph.clone(),
+        Box::new(DeepWalk::new(5)),
+        shards,
+        7,
+    )
+    .unwrap();
+    (graph, init, sampler)
+}
+
+#[test]
+fn failed_seed_broadcast_upload_is_retried() {
+    let (graph, init, mut sharded) = walk_fleet(2);
+    // The shard's next allocation is the seed-broadcast upload.
+    sharded.schedule_faults(1, FaultPlan::new().fail_alloc(0));
+    let out = sharded.query(&init, 42).unwrap();
+    assert_eq!(out.shard_reports[1].alloc_faults, 1);
+    assert_eq!(out.shard_reports[1].step_retries, 1);
+    assert!(out.shard_reports[0].is_clean());
+    let mut gpu = Gpu::new(GpuSpec::small());
+    let solo = run_nextdoor(&mut gpu, &graph, &DeepWalk::new(5), &init, 42).unwrap();
+    assert_eq!(digest(&out.store), digest(&solo.store));
+}
+
+#[test]
+fn shard_step_faulting_past_the_budget_is_a_kernel_fault() {
+    let (_, init, mut sharded) = walk_fleet(2);
+    // Every launch of the home shard faults for long enough to cover the
+    // first step's initial attempt and all three retries.
+    let home = sharded.home_shard(&init[0]);
+    let mut plan = FaultPlan::new();
+    for i in 0..512 {
+        plan = plan.transient_at_launch(i);
+    }
+    sharded.schedule_faults(home, plan);
+    let err = sharded.query(&init, 42).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            NextDoorError::KernelFault {
+                step: 0,
+                retries: 3
+            }
+        ),
+        "got {err:?}"
+    );
 }
 
 #[test]
