@@ -12,7 +12,7 @@
 //! samples bit-identical to the healthy leg (asserted here), it just pays
 //! for the retries, backoffs, cool-down waits and the shrunken batch cap.
 
-use nextdoor_bench::BenchConfig;
+use nextdoor_bench::{splice_bench_section, BenchConfig};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor_graph::{Csr, Dataset, VertexId};
@@ -21,6 +21,7 @@ use nextdoor_serve::{
     ServeError,
 };
 use std::collections::HashMap;
+use std::path::Path;
 
 fn app() -> Box<dyn SamplingApp + Send> {
     Box::new(nextdoor_apps::KHop::new(vec![3, 2]))
@@ -202,22 +203,6 @@ fn leg_json(name: &str, leg: &LegResult) -> String {
     )
 }
 
-/// Splices the `"chaos"` section into an existing `BENCH_serve.json`
-/// written by `serve_bench`, or writes a standalone object.
-fn write_json(section: &str) {
-    let path = "BENCH_serve.json";
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let head = existing.trim_end().strip_suffix('}').map(str::trim_end);
-    let merged = match head {
-        Some(h) if !h.is_empty() && !h.ends_with('{') => {
-            format!("{h},\n  \"chaos\": {section}\n}}\n")
-        }
-        _ => format!("{{\n  \"chaos\": {section}\n}}\n"),
-    };
-    std::fs::write(path, merged).expect("can write BENCH_serve.json");
-    println!("wrote chaos section into {path}");
-}
-
 fn main() {
     let cfg = BenchConfig::from_args();
     let g = cfg.graph(Dataset::Ppi);
@@ -324,5 +309,7 @@ fn main() {
         leg_json("faulted", &chaos),
         chaos_tp / healthy_tp.max(1e-12),
     );
-    write_json(&section);
+    let path = Path::new("BENCH_serve.json");
+    splice_bench_section(path, "chaos", &section).expect("can write BENCH_serve.json");
+    println!("wrote chaos section into {}", path.display());
 }

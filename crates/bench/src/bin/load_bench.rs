@@ -39,7 +39,7 @@
 //! (run `serve_bench` first to get the healthy serving regimes in the same
 //! file).
 
-use nextdoor_bench::BenchConfig;
+use nextdoor_bench::{splice_bench_section, BenchConfig};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_core::session::{SamplerSession, SessionQuery};
 use nextdoor_gpu::{FaultPlan, Gpu, GpuSpec};
@@ -48,6 +48,7 @@ use nextdoor_serve::{
     BreakerConfig, FleetBatcher, MicroBatcher, PoolConfig, Priority, ReplicaPool, Request,
     ServeConfig, ServeError, SpanKind,
 };
+use std::path::Path;
 use std::time::Instant;
 
 fn app() -> Box<dyn SamplingApp + Send> {
@@ -373,22 +374,6 @@ fn closed_fifo_prefix(spec: &GpuSpec, g: &Csr, reqs: &[(Vec<Vec<VertexId>>, u64)
     (b.session().sim_ms(), b.launches())
 }
 
-/// Splices the `"load"` section into an existing `BENCH_serve.json`
-/// written by `serve_bench`/`chaos_bench`, or writes a standalone object.
-fn write_json(section: &str) {
-    let path = "BENCH_serve.json";
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let head = existing.trim_end().strip_suffix('}').map(str::trim_end);
-    let merged = match head {
-        Some(h) if !h.is_empty() && !h.ends_with('{') => {
-            format!("{h},\n  \"load\": {section}\n}}\n")
-        }
-        _ => format!("{{\n  \"load\": {section}\n}}\n"),
-    };
-    std::fs::write(path, merged).expect("can write BENCH_serve.json");
-    println!("wrote load section into {path}");
-}
-
 fn main() {
     let cfg = BenchConfig::from_args();
     let g = cfg.graph(Dataset::Ppi);
@@ -664,5 +649,7 @@ fn main() {
         mixed.len(),
         fifo_ms / interleaved_ms,
     );
-    write_json(&section);
+    let path = Path::new("BENCH_serve.json");
+    splice_bench_section(path, "load", &section).expect("can write BENCH_serve.json");
+    println!("wrote load section into {}", path.display());
 }

@@ -13,13 +13,14 @@
 //! edge cut induces. Samples are asserted bit-identical across shard
 //! counts before any number is written.
 
-use nextdoor_bench::BenchConfig;
+use nextdoor_bench::{splice_bench_section, BenchConfig};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_core::session::SessionQuery;
 use nextdoor_gpu::FaultPlan;
 use nextdoor_graph::{Csr, Dataset};
 use nextdoor_serve::{ServeError, ShardPoolConfig, ShardedPool};
 use std::collections::HashMap;
+use std::path::Path;
 
 fn app() -> Box<dyn SamplingApp + Send> {
     Box::new(nextdoor_apps::KHop::new(vec![3, 2]))
@@ -115,22 +116,6 @@ fn leg_json(name: &str, leg: &LegResult, shards: usize) -> String {
     )
 }
 
-/// Splices the `"shard"` section into an existing `BENCH_serve.json`
-/// written by `serve_bench`, or writes a standalone object.
-fn write_json(section: &str) {
-    let path = "BENCH_serve.json";
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let head = existing.trim_end().strip_suffix('}').map(str::trim_end);
-    let merged = match head {
-        Some(h) if !h.is_empty() && !h.ends_with('{') => {
-            format!("{h},\n  \"shard\": {section}\n}}\n")
-        }
-        _ => format!("{{\n  \"shard\": {section}\n}}\n"),
-    };
-    std::fs::write(path, merged).expect("can write BENCH_serve.json");
-    println!("wrote shard section into {path}");
-}
-
 fn main() {
     let cfg = BenchConfig::from_args();
     let g = cfg.graph(Dataset::Ppi);
@@ -224,5 +209,7 @@ fn main() {
          {samples_per_request},\n{},\n    \"bit_identical_across_shard_counts\": true\n  }}",
         parts.join(",\n"),
     );
-    write_json(&section);
+    let path = Path::new("BENCH_serve.json");
+    splice_bench_section(path, "shard", &section).expect("can write BENCH_serve.json");
+    println!("wrote shard section into {}", path.display());
 }

@@ -22,11 +22,14 @@
 //! Results are spliced into the `"tune"` section of `BENCH_serve.json`
 //! (same convention as `chaos_bench` / `load_bench` / `shard_bench`).
 
-use nextdoor_bench::{benchmark_suite, header, jsonv, ms, row, speedup, BenchConfig};
+use nextdoor_bench::{
+    benchmark_suite, header, jsonv, ms, row, speedup, splice_bench_section, BenchConfig,
+};
 use nextdoor_core::api::{NextCtx, SamplingApp, Steps};
 use nextdoor_core::session::SamplerSession;
 use nextdoor_core::tuning::{CacheConfig, TunerConfig};
 use nextdoor_graph::{Dataset, VertexId};
+use std::path::Path;
 use std::time::Instant;
 
 struct Walk(usize);
@@ -127,22 +130,6 @@ fn committed_warm() -> Option<(f64, f64)> {
         _ => None,
     };
     Some((num("total_ms")?, num("throughput_rps")?))
-}
-
-/// Splices the `"tune"` section into an existing `BENCH_serve.json`
-/// written by `serve_bench`, or writes a standalone object.
-fn write_json(section: &str) {
-    let path = "BENCH_serve.json";
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let head = existing.trim_end().strip_suffix('}').map(str::trim_end);
-    let merged = match head {
-        Some(h) if !h.is_empty() && !h.ends_with('{') => {
-            format!("{h},\n  \"tune\": {section}\n}}\n")
-        }
-        _ => format!("{{\n  \"tune\": {section}\n}}\n"),
-    };
-    std::fs::write(path, merged).expect("can write BENCH_serve.json");
-    println!("wrote tune section into {path}");
 }
 
 fn main() {
@@ -292,5 +279,7 @@ fn main() {
         warm_stats.hit_rate(),
         committed.map_or("null".into(), |(t, _)| format!("{t:.3}")),
     );
-    write_json(&section);
+    let path = Path::new("BENCH_serve.json");
+    splice_bench_section(path, "tune", &section).expect("can write BENCH_serve.json");
+    println!("wrote tune section into {}", path.display());
 }

@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A parsed JSON value. Numbers are kept as `f64` (every number the
 /// exporters emit is exactly representable or printed from an `f64` in the
@@ -241,30 +242,50 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
+        let members = self.members()?;
+        Ok(Json::Obj(
+            members.into_iter().map(|(k, v, _)| (k, v)).collect(),
+        ))
+    }
+
+    /// An object's members in document order, each with the byte range of
+    /// its value (duplicate keys are all kept).
+    fn members(&mut self) -> Result<Vec<(String, Json, Range<usize>)>, ParseError> {
         self.expect(b'{')?;
-        let mut m = BTreeMap::new();
+        let mut m = Vec::new();
         self.skip_ws();
         if self.b.get(self.i) == Some(&b'}') {
             self.i += 1;
-            return Ok(Json::Obj(m));
+            return Ok(m);
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
+            self.skip_ws();
+            let start = self.i;
             let val = self.value()?;
-            m.insert(key, val);
+            m.push((key, val, start..self.i));
             self.skip_ws();
             match self.b.get(self.i) {
                 Some(b',') => self.i += 1,
                 Some(b'}') => {
                     self.i += 1;
-                    return Ok(Json::Obj(m));
+                    return Ok(m);
                 }
                 _ => return self.err("expected ',' or '}'"),
             }
         }
+    }
+
+    /// Fails unless only whitespace remains.
+    fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.i != self.b.len() {
+            return self.err("trailing garbage after document");
+        }
+        Ok(())
     }
 }
 
@@ -280,11 +301,30 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
         i: 0,
     };
     let v = p.value()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return p.err("trailing garbage after document");
-    }
+    p.finish()?;
     Ok(v)
+}
+
+/// Parses a document whose root is an object and returns its top-level
+/// member names in document order, each with the byte range of its value
+/// in `text`. Unlike [`parse`], duplicate keys are all reported, so a
+/// caller can count them or splice a value in place.
+///
+/// # Errors
+///
+/// [`ParseError`] for a malformed document or a non-object root.
+pub fn object_members(text: &str) -> Result<Vec<(String, Range<usize>)>, ParseError> {
+    let mut p = Parser {
+        b: text.as_bytes(),
+        i: 0,
+    };
+    p.skip_ws();
+    if p.b.get(p.i) != Some(&b'{') {
+        return p.err("expected an object");
+    }
+    let members = p.members()?;
+    p.finish()?;
+    Ok(members.into_iter().map(|(k, _, at)| (k, at)).collect())
 }
 
 /// Validates `value` against `schema`, appending one message per violation

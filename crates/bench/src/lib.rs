@@ -18,7 +18,7 @@
 use nextdoor_core::initial_samples_random;
 use nextdoor_gpu::{Gpu, GpuSpec};
 use nextdoor_graph::{Csr, Dataset, VertexId};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 pub mod jsonv;
 
@@ -306,9 +306,102 @@ pub fn ms(v: f64) -> String {
     }
 }
 
+/// Splices `json` into the JSON object stored at `path` as its top-level
+/// member `name` — how the serving benches share one `BENCH_serve.json`.
+///
+/// An existing member called `name` has its value replaced in place, so
+/// re-running a bench never duplicates its section. Otherwise the member is
+/// appended before the closing brace, or a fresh object is written when the
+/// file is missing or empty.
+///
+/// # Errors
+///
+/// Any error writing `path`.
+pub fn splice_bench_section(path: &Path, name: &str, json: &str) -> std::io::Result<()> {
+    let existing = std::fs::read_to_string(path).unwrap_or_default();
+    let members = jsonv::object_members(&existing).unwrap_or_default();
+    let merged = match members.iter().find(|(k, _)| k == name) {
+        Some((_, at)) => format!("{}{json}{}", &existing[..at.start], &existing[at.end..]),
+        None => match existing.trim_end().strip_suffix('}').map(str::trim_end) {
+            Some(h) if !h.is_empty() && !h.ends_with('{') => {
+                format!("{h},\n  \"{name}\": {json}\n}}\n")
+            }
+            _ => format!("{{\n  \"{name}\": {json}\n}}\n"),
+        },
+    };
+    std::fs::write(path, merged)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Splices `(name, json)` pairs into `start` (`None`: no file) and
+    /// returns the resulting document.
+    fn spliced(tag: &str, start: Option<&str>, sections: &[(&str, &str)]) -> String {
+        let path =
+            std::env::temp_dir().join(format!("nextdoor_splice_{}_{tag}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        if let Some(text) = start {
+            std::fs::write(&path, text).unwrap();
+        }
+        for (name, json) in sections {
+            splice_bench_section(&path, name, json).unwrap();
+        }
+        let out = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            jsonv::parse(&out).is_ok(),
+            "spliced document parses:\n{out}"
+        );
+        out
+    }
+
+    fn occurrences(doc: &str, name: &str) -> usize {
+        let members = jsonv::object_members(doc).unwrap();
+        members.iter().filter(|(k, _)| k == name).count()
+    }
+
+    #[test]
+    fn splice_into_missing_or_empty_documents_starts_an_object() {
+        let want = "{\n  \"shard\": {\"a\": 1}\n}\n";
+        assert_eq!(spliced("missing", None, &[("shard", "{\"a\": 1}")]), want);
+        assert_eq!(
+            spliced("empty", Some("{}"), &[("shard", "{\"a\": 1}")]),
+            want
+        );
+    }
+
+    #[test]
+    fn splice_appends_a_new_section_after_the_others() {
+        let start = "{\n  \"workload\": \"w\",\n  \"chaos\": {\n    \"x\": 1\n  }\n}\n";
+        let out = spliced("append", Some(start), &[("shard", "{\"a\": 1}")]);
+        assert_eq!(
+            out,
+            "{\n  \"workload\": \"w\",\n  \"chaos\": {\n    \"x\": 1\n  },\n  \"shard\": {\"a\": 1}\n}\n"
+        );
+        assert_eq!(occurrences(&out, "shard"), 1);
+        assert_eq!(occurrences(&out, "chaos"), 1);
+    }
+
+    #[test]
+    fn splicing_the_same_section_twice_replaces_it() {
+        let start = "{\n  \"workload\": \"w\",\n  \"tune\": {\"t\": 0}\n}\n";
+        let out = spliced(
+            "twice",
+            Some(start),
+            &[("shard", "{\"a\": 1}"), ("shard", "{\"a\": 2}")],
+        );
+        assert_eq!(occurrences(&out, "shard"), 1);
+        assert_eq!(occurrences(&out, "tune"), 1);
+        let doc = jsonv::parse(&out).unwrap();
+        let a = doc.get("shard").and_then(|s| s.get("a"));
+        assert_eq!(a, Some(&jsonv::Json::Num(2.0)));
+        assert_eq!(
+            out,
+            "{\n  \"workload\": \"w\",\n  \"tune\": {\"t\": 0},\n  \"shard\": {\"a\": 2}\n}\n"
+        );
+    }
 
     #[test]
     fn defaults_are_sane() {

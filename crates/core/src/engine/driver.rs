@@ -280,6 +280,33 @@ pub(crate) struct StepLoopOut {
     pub step_marks: Vec<(usize, u64, u64)>,
 }
 
+impl StepLoopOut {
+    /// A zero accumulator for folding several loops (the width classes of
+    /// a fused batch) with [`StepLoopOut::absorb`].
+    pub(crate) fn empty() -> Self {
+        StepLoopOut {
+            store: SampleStore::new(Vec::new()),
+            sched_cycles: 0.0,
+            transfer_cycles: 0.0,
+            transfers: 0,
+            steps_run: 0,
+            report: FaultReport::default(),
+            step_marks: Vec::new(),
+        }
+    }
+
+    /// Adds `other`'s cycles, steps, faults and step marks to this
+    /// accumulator. `other`'s store is dropped: the caller slices it first.
+    pub(crate) fn absorb(&mut self, other: StepLoopOut) {
+        self.sched_cycles += other.sched_cycles;
+        self.transfer_cycles += other.transfer_cycles;
+        self.transfers += other.transfers;
+        self.steps_run += other.steps_run;
+        self.report.merge(&other.report);
+        self.step_marks.extend(other.step_marks);
+    }
+}
+
 /// The engine-independent, fault-tolerant step loop.
 ///
 /// With `residency` set, the graph is assumed host-staged and each step
@@ -392,8 +419,11 @@ pub(crate) fn run_step_loop(
 
 /// Folds a finished step loop into a [`RunResult`]: counter deltas since
 /// `counters0`, the per-kernel profile of launches since `launch0`, and the
-/// simulated-time breakdown. Shared by the one-shot entry points and the
-/// persistent [`SamplerSession`](crate::session::SamplerSession).
+/// simulated-time breakdown. The one [`EngineStats`] fold, shared by
+/// one-shot runs, out-of-core runs (which then split transfer time out of
+/// `sampling_ms`) and the batches of a persistent
+/// [`SamplerSession`](crate::session::SamplerSession), whose width classes
+/// are first folded together with [`StepLoopOut::absorb`].
 pub(crate) fn finish_run(
     gpu: &Gpu,
     counters0: &nextdoor_gpu::Counters,

@@ -18,7 +18,7 @@
 //! samples because both modes share `run_step_loop`.
 
 use crate::api::SamplingApp;
-use crate::engine::driver::{run_step_loop, GpuEngineKind};
+use crate::engine::driver::{finish_run, run_step_loop, GpuEngineKind};
 use crate::engine::{EngineStats, RunResult};
 use crate::error::{validate_run, NextDoorError};
 use crate::gpu_graph::GpuGraph;
@@ -139,36 +139,20 @@ pub(crate) fn out_of_core_run(
     );
     gpu.set_charge_transfers(false);
     let out = loop_res?;
-    let counters = gpu.counters().diff(&counters0);
-    let profile = crate::engine::profile::RunProfile::from_device(gpu, launch0, &out.step_marks);
-    let spec = gpu.spec();
-    let total_ms = spec.cycles_to_ms(counters.cycles);
-    let scheduling_ms = spec.cycles_to_ms(out.sched_cycles);
-    let transfer_ms = spec.cycles_to_ms(out.transfer_cycles);
-    let num_samples = out.store.num_samples();
-    let stats = EngineStats {
-        total_ms,
-        sampling_ms: total_ms - scheduling_ms - transfer_ms,
-        scheduling_ms,
-        counters,
-        steps_run: out.steps_run,
-        profile,
-    };
+    let transfer_ms = gpu.spec().cycles_to_ms(out.transfer_cycles);
+    let (transfers, num_samples) = (out.transfers, out.store.num_samples());
+    let mut res = finish_run(gpu, &counters0, launch0, out);
+    // Transfer time is charged on the device clock; split it out of the
+    // kernel time `finish_run` attributes to sampling.
+    res.stats.sampling_ms -= transfer_ms;
     let ooc = OutOfCoreStats {
-        engine: stats.clone(),
+        engine: res.stats.clone(),
         transfer_ms,
-        transfers: out.transfers,
+        transfers,
         partitions: parts.len(),
-        samples_per_sec: num_samples as f64 / (total_ms / 1e3).max(1e-12),
+        samples_per_sec: num_samples as f64 / (res.stats.total_ms / 1e3).max(1e-12),
     };
-    Ok((
-        RunResult {
-            store: out.store,
-            stats,
-            report: out.report,
-        },
-        ooc,
-    ))
+    Ok((res, ooc))
 }
 
 /// Runs `app` transit-parallel on a graph that does not fit in device

@@ -56,7 +56,7 @@
 //! ```
 
 use crate::api::SamplingApp;
-use crate::engine::driver::{finish_run, run_step_loop, GpuEngineKind};
+use crate::engine::driver::{finish_run, run_step_loop, GpuEngineKind, StepLoopOut};
 use crate::engine::profile::RunProfile;
 use crate::engine::{EngineStats, RunResult, SampleKeys};
 use crate::error::{validate_run, FaultReport, NextDoorError};
@@ -333,7 +333,8 @@ impl SamplerSession {
         }
     }
 
-    /// Answers one query against the resident graph.
+    /// Answers one query against the resident graph: a fused batch of one
+    /// through [`SamplerSession::query_fused`].
     ///
     /// Produces exactly the samples a cold one-shot
     /// [`run_nextdoor`](crate::run_nextdoor) call with the same
@@ -345,12 +346,17 @@ impl SamplerSession {
     /// Same conditions as [`run_nextdoor`](crate::run_nextdoor), minus the
     /// upload paths (the graph is already resident).
     pub fn query(&mut self, init: &[Vec<VertexId>], seed: u64) -> Result<RunResult, NextDoorError> {
-        validate_run(&self.graph, self.app.as_ref(), init)?;
-        let keys = SampleKeys::uniform(seed);
-        let res = self.run_batch(init, &keys)?;
-        self.queries_served += 1;
-        self.after_query(&res.stats.profile);
-        Ok(res)
+        let q = SessionQuery {
+            init: init.to_vec(),
+            seed,
+        };
+        let mut fused = self.query_fused(&[q])?;
+        Ok(RunResult {
+            // A batch of one slices back into exactly one store.
+            store: fused.per_query.swap_remove(0),
+            stats: fused.stats,
+            report: fused.report,
+        })
     }
 
     /// Runs several queries as **one fused transit-parallel batch** and
@@ -381,15 +387,10 @@ impl SamplerSession {
     pub fn query_fused(&mut self, queries: &[SessionQuery]) -> Result<FusedResult, NextDoorError> {
         let classes = WidthClass::split(&self.graph, self.app.as_ref(), queries)?;
         // One counter/launch snapshot brackets *all* classes, so the
-        // aggregate stats and profile account for the whole batch exactly
-        // (the same arithmetic as `finish_run`, over the combined span).
+        // aggregate stats and profile account for the whole batch exactly.
         let counters0 = *self.gpu.counters();
         let launch0 = self.gpu.launches_issued();
-        let launches = classes.len();
-        let mut report = FaultReport::default();
-        let mut sched_cycles = 0.0f64;
-        let mut steps_run = 0usize;
-        let mut step_marks: Vec<(usize, u64, u64)> = Vec::new();
+        let mut batch = StepLoopOut::empty();
         let mut per_query: Vec<Option<SampleStore>> = vec![None; queries.len()];
         let mut class_marks = Vec::with_capacity(classes.len());
         for class in &classes {
@@ -417,57 +418,19 @@ impl SamplerSession {
                 start_cycles: class_cycles0,
                 end_cycles: self.gpu.counters().cycles,
             });
-            sched_cycles += out.sched_cycles;
-            steps_run += out.steps_run;
-            report.merge(&out.report);
-            step_marks.extend(out.step_marks);
             class.scatter(queries, &out.store, &mut per_query);
+            batch.absorb(out);
         }
         self.queries_served += queries.len() as u64;
-        let counters = self.gpu.counters().diff(&counters0);
-        let profile = RunProfile::from_device(&self.gpu, launch0, &step_marks);
-        let total_ms = self.gpu.spec().cycles_to_ms(counters.cycles);
-        let scheduling_ms = self.gpu.spec().cycles_to_ms(sched_cycles);
-        self.after_query(&profile);
+        let RunResult { stats, report, .. } = finish_run(&self.gpu, &counters0, launch0, batch);
+        self.after_query(&stats.profile);
         Ok(FusedResult {
             per_query: per_query.into_iter().flatten().collect(),
-            launches,
+            launches: classes.len(),
             class_marks,
-            stats: EngineStats {
-                total_ms,
-                sampling_ms: total_ms - scheduling_ms,
-                scheduling_ms,
-                counters,
-                steps_run,
-                profile,
-            },
+            stats,
             report,
         })
-    }
-
-    /// The shared body of single and fused queries: snapshot the device,
-    /// run the fault-tolerant step loop against the resident graph, and
-    /// fold counters and profile into a result.
-    fn run_batch(
-        &mut self,
-        init: &[Vec<VertexId>],
-        keys: &SampleKeys,
-    ) -> Result<RunResult, NextDoorError> {
-        let counters0 = *self.gpu.counters();
-        let launch0 = self.gpu.launches_issued();
-        let out = run_step_loop(
-            &mut self.gpu,
-            &self.graph,
-            &self.gg,
-            self.app.as_ref(),
-            init,
-            keys,
-            GpuEngineKind::NextDoor,
-            None,
-            &self.plan,
-            self.cache.as_mut(),
-        )?;
-        Ok(finish_run(&self.gpu, &counters0, launch0, out))
     }
 
     /// Simulated milliseconds the session's device has accumulated across
@@ -634,6 +597,56 @@ mod tests {
             session.query_fused(&[]).err(),
             Some(NextDoorError::EmptyInit)
         ));
+    }
+
+    #[test]
+    fn single_query_equals_fused_batch_of_one() {
+        // A tuned, cached session under a scheduled transient fault: the
+        // single-query path and a fused batch of one must agree on the
+        // samples, the whole stats block and the fault report, round by
+        // round, while the plan and cache evolve between rounds.
+        let (g, init) = workload();
+        let mk = || {
+            let mut s =
+                SamplerSession::new(GpuSpec::small(), g.clone(), Box::new(Walk(6))).unwrap();
+            s.enable_autotune(TunerConfig {
+                warmup_queries: 1,
+                ..TunerConfig::default()
+            });
+            s.enable_hot_cache(CacheConfig {
+                min_hits: 1,
+                ..CacheConfig::default()
+            });
+            s.schedule_faults(nextdoor_gpu::FaultPlan::new().transient_at_launch(2));
+            s
+        };
+        let (mut single, mut fused) = (mk(), mk());
+        let mut faults_seen = 0;
+        for round in 0..3u64 {
+            let seed = 60 + round;
+            let a = single.query(&init, seed).unwrap();
+            let q = SessionQuery {
+                init: init.clone(),
+                seed,
+            };
+            let b = fused.query_fused(&[q]).unwrap();
+            assert_eq!(b.per_query.len(), 1);
+            assert_eq!(
+                a.store.final_samples(),
+                b.per_query[0].final_samples(),
+                "round {round}"
+            );
+            assert_eq!(
+                format!("{:?}", a.stats),
+                format!("{:?}", b.stats),
+                "round {round}"
+            );
+            assert_eq!(a.report, b.report, "round {round}");
+            faults_seen += a.report.transient_faults;
+        }
+        assert!(faults_seen > 0, "the scheduled fault fired");
+        assert_eq!(single.tuning_plan(), fused.tuning_plan());
+        assert_eq!(single.cache_stats(), fused.cache_stats());
     }
 
     #[test]

@@ -30,7 +30,11 @@
 //! retried bit-identically like single-device step faults; a *lost* shard
 //! is not an error: its walkers' slots stay `NULL_VERTEX`, which
 //! deterministically terminates them at the next plan, and the run reports
-//! them as [`ShardedRunOut::walkers_lost`].
+//! them as [`ShardedFusedResult::walkers_lost`].
+//!
+//! There is one query path: [`ShardedSampler::query`] is a fused batch of
+//! one through [`ShardedSampler::query_fused`], so single and fused queries
+//! share the super-step loop and both return a [`ShardedFusedResult`].
 //!
 //! Sharding supports individual-transit applications that neither require
 //! per-step unique neighbours nor read adjacency of vertices other than
@@ -66,12 +70,13 @@
 //! let init: Vec<Vec<u32>> = (0..12).map(|i| vec![i * 17 % 256]).collect();
 //! let mut sharded = ShardedSampler::new(GpuSpec::small(), graph.clone(),
 //!     Box::new(Walk), 3, 0xC0FFEE).expect("valid sharded config");
+//! // A single query is a fused batch of one.
 //! let out = sharded.query(&init, 42).expect("valid query");
 //!
 //! // Bit-identical to the single-device run of the same query.
 //! let mut gpu = Gpu::new(GpuSpec::small());
 //! let solo = run_nextdoor(&mut gpu, &graph, &Walk, &init, 42).unwrap();
-//! assert_eq!(out.store.final_samples(), solo.store.final_samples());
+//! assert_eq!(out.per_query[0].final_samples(), solo.store.final_samples());
 //! ```
 
 use crate::api::{SamplingApp, SamplingType, NULL_VERTEX};
@@ -80,7 +85,7 @@ use crate::engine::driver::{
 };
 use crate::engine::kernels::{charge_step_transits, StepExec, StepOut};
 use crate::engine::{finish_step, plan_step, step_budget, SampleKeys};
-use crate::error::{validate_run, FaultReport, NextDoorError};
+use crate::error::{FaultReport, NextDoorError};
 use crate::gpu_graph::GpuGraph;
 use crate::session::{SessionQuery, WidthClass};
 use crate::store::SampleStore;
@@ -131,33 +136,6 @@ pub struct SuperStepMark {
     /// Hand-offs charged during the exchange, in canonical
     /// `(from, to)` order.
     pub handoffs: Vec<ShardHandoff>,
-}
-
-/// Result of one sharded query (or one width class of a fused batch).
-#[derive(Debug)]
-pub struct ShardedRunOut {
-    /// The sampled store, bit-identical to the single-device run.
-    pub store: SampleStore,
-    /// Steps actually executed.
-    pub steps_run: usize,
-    /// Faults the whole fleet observed, merged across shards.
-    pub report: FaultReport,
-    /// Per-shard fault reports for this query.
-    pub shard_reports: Vec<FaultReport>,
-    /// Simulated end-to-end time on the fleet clock: per step, the slowest
-    /// shard plus the exchange phase.
-    pub elapsed_ms: f64,
-    /// Walkers handed between shards over the whole query.
-    pub handoffs: u64,
-    /// Simulated bytes those hand-offs moved.
-    pub handoff_bytes: u64,
-    /// Walkers terminated because their owner shard was lost.
-    pub walkers_lost: u64,
-    /// Per-super-step breakdown in execution order.
-    pub super_steps: Vec<SuperStepMark>,
-    /// Per-shard `(first, one-past-last)` device launch indices of the
-    /// query, for linking trace spans to kernel records.
-    pub shard_launches: Vec<(u64, u64)>,
 }
 
 /// Result of a fused sharded batch: per-query stores (bit-identical to
@@ -375,29 +353,32 @@ impl ShardedSampler {
         gpu.extend_faults(shifted);
     }
 
-    /// Answers one query across the fleet.
+    /// Answers one query across the fleet: a fused batch of one through
+    /// [`ShardedSampler::query_fused`], so the result's
+    /// [`per_query`](ShardedFusedResult::per_query) holds exactly one store.
     ///
     /// Produces samples bit-identical to the single-device
     /// [`run_nextdoor`](crate::run_nextdoor) of the same
     /// `(graph, app, init, seed)` as long as no shard is lost; with losses,
     /// the affected walkers terminate deterministically at the shard
-    /// boundary and are counted in [`ShardedRunOut::walkers_lost`].
+    /// boundary and are counted in [`ShardedFusedResult::walkers_lost`].
     ///
     /// # Errors
     ///
-    /// Input validation as [`validate_run`]; genuine device-memory
-    /// exhaustion and steps exceeding the retry budget propagate as for
-    /// the single-device engines. Shard *loss* is not an error.
+    /// Input validation as [`validate_run`](crate::validate_run); genuine
+    /// device-memory exhaustion and steps exceeding the retry budget
+    /// propagate as for the single-device engines. Shard *loss* is not an
+    /// error.
     pub fn query(
         &mut self,
         init: &[Vec<VertexId>],
         seed: u64,
-    ) -> Result<ShardedRunOut, NextDoorError> {
-        validate_run(&self.graph, self.app.as_ref(), init)?;
-        let keys = SampleKeys::uniform(seed);
-        let out = self.run_batch(init, &keys)?;
-        self.queries_served += 1;
-        Ok(out)
+    ) -> Result<ShardedFusedResult, NextDoorError> {
+        let q = SessionQuery {
+            init: init.to_vec(),
+            seed,
+        };
+        self.query_fused(&[q])
     }
 
     /// Runs several queries as one fused batch (split into width classes
@@ -409,8 +390,8 @@ impl ShardedSampler {
     /// # Errors
     ///
     /// [`NextDoorError::EmptyInit`] for an empty batch, any
-    /// [`validate_run`] error for an individual query, and the runtime
-    /// errors of [`ShardedSampler::query`].
+    /// [`validate_run`](crate::validate_run) error for an individual query,
+    /// and the runtime errors of [`ShardedSampler::query`].
     pub fn query_fused(
         &mut self,
         queries: &[SessionQuery],
@@ -421,65 +402,52 @@ impl ShardedSampler {
             .iter()
             .map(|s| s.gpu.launches_issued())
             .collect();
-        let launches = classes.len();
-        let mut report = FaultReport::default();
-        let mut shard_reports = vec![FaultReport::default(); self.shards.len()];
-        let mut elapsed_ms = 0.0;
-        let mut handoffs = 0u64;
-        let mut handoff_bytes = 0u64;
-        let mut walkers_lost = 0u64;
-        let mut super_steps = Vec::new();
+        let mut fused = ShardedFusedResult {
+            per_query: Vec::new(),
+            launches: classes.len(),
+            elapsed_ms: 0.0,
+            report: FaultReport::default(),
+            shard_reports: vec![FaultReport::default(); self.shards.len()],
+            handoffs: 0,
+            handoff_bytes: 0,
+            walkers_lost: 0,
+            super_steps: Vec::new(),
+            shard_launches: Vec::new(),
+        };
         let mut per_query: Vec<Option<SampleStore>> = vec![None; queries.len()];
         for class in &classes {
-            let out = self.run_batch(&class.init, &class.keys)?;
-            report.merge(&out.report);
-            for (sr, r) in shard_reports.iter_mut().zip(&out.shard_reports) {
-                sr.merge(r);
-            }
-            elapsed_ms += out.elapsed_ms;
-            handoffs += out.handoffs;
-            handoff_bytes += out.handoff_bytes;
-            walkers_lost += out.walkers_lost;
-            super_steps.extend(out.super_steps);
-            class.scatter(queries, &out.store, &mut per_query);
+            let store = self.run_batch(&class.init, &class.keys, &mut fused)?;
+            class.scatter(queries, &store, &mut per_query);
         }
         self.queries_served += queries.len() as u64;
-        let shard_launches: Vec<(u64, u64)> = self
+        fused.per_query = per_query.into_iter().flatten().collect();
+        for r in &fused.shard_reports {
+            fused.report.merge(r);
+        }
+        fused.shard_launches = self
             .shards
             .iter()
             .zip(&launch0)
             .map(|(s, &l0)| (l0, s.gpu.launches_issued()))
             .collect();
-        Ok(ShardedFusedResult {
-            per_query: per_query.into_iter().flatten().collect(),
-            launches,
-            elapsed_ms,
-            report,
-            shard_reports,
-            handoffs,
-            handoff_bytes,
-            walkers_lost,
-            super_steps,
-            shard_launches,
-        })
+        Ok(fused)
     }
 
-    /// The super-step loop shared by single and fused queries.
+    /// Runs one width class of a batch through the super-step loop and
+    /// returns its store. Hand-offs, lost walkers, super-step marks and
+    /// per-shard fault reports accumulate straight into `fused`; the
+    /// class's fleet time is added to the fleet clock and to `fused` once.
     fn run_batch(
         &mut self,
         init: &[Vec<VertexId>],
         keys: &SampleKeys,
-    ) -> Result<ShardedRunOut, NextDoorError> {
+        fused: &mut ShardedFusedResult,
+    ) -> Result<SampleStore, NextDoorError> {
         let app = self.app.as_ref();
         let num_shards = self.shards.len();
-        let mut shard_reports = vec![FaultReport::default(); num_shards];
+        let shard_reports = &mut fused.shard_reports;
         let mut store = SampleStore::new(init.to_vec());
         let ns = store.num_samples();
-        let launch0: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| s.gpu.launches_issued())
-            .collect();
         let init_flat: Vec<u32> = init.iter().flatten().copied().collect();
 
         // Seed broadcast: every shard stages the initial frontier (walkers
@@ -513,11 +481,6 @@ impl ShardedSampler {
         }
         elapsed_ms += init_ms;
 
-        let mut steps_run = 0usize;
-        let mut total_handoffs = 0u64;
-        let mut total_handoff_bytes = 0u64;
-        let mut walkers_lost = 0u64;
-        let mut super_steps: Vec<SuperStepMark> = Vec::new();
         // Previous executed step's transit array, for hand-off lineage.
         let mut prev_transits: Option<(Vec<VertexId>, usize)> = None;
 
@@ -585,7 +548,7 @@ impl ShardedSampler {
                 let owned = &shard_pairs[s];
                 let shard = &mut self.shards[s];
                 if shard.dead {
-                    walkers_lost += owned.len() as u64;
+                    fused.walkers_lost += owned.len() as u64;
                     continue;
                 }
                 let c0 = shard.gpu.counters().cycles;
@@ -629,7 +592,7 @@ impl ShardedSampler {
                         // are discarded, its walkers end at the boundary.
                         shard.dead = true;
                         prev_bufs[s] = None;
-                        walkers_lost += owned.len() as u64;
+                        fused.walkers_lost += owned.len() as u64;
                     }
                 }
             }
@@ -643,9 +606,9 @@ impl ShardedSampler {
             };
             let exchange_ms = step_bytes as f64 / LINK_BYTES_PER_MS + barrier;
             elapsed_ms += step_ms + exchange_ms;
-            total_handoffs += step_handoff_walkers;
-            total_handoff_bytes += step_bytes;
-            super_steps.push(SuperStepMark {
+            fused.handoffs += step_handoff_walkers;
+            fused.handoff_bytes += step_bytes;
+            fused.super_steps.push(SuperStepMark {
                 step,
                 shard_pairs: shard_pairs.iter().map(Vec::len).collect(),
                 shard_ms,
@@ -656,7 +619,6 @@ impl ShardedSampler {
 
             let live_this_step = merged_values.iter().any(|&v| v != NULL_VERTEX);
             finish_step(app, &mut store, &plan, merged_values, merged_edges);
-            steps_run += 1;
             prev_transits = Some((plan.transits, plan.tps));
             if !live_this_step {
                 break;
@@ -664,28 +626,8 @@ impl ShardedSampler {
         }
 
         self.clock_ms += elapsed_ms;
-        let mut report = FaultReport::default();
-        for r in &shard_reports {
-            report.merge(r);
-        }
-        let shard_launches: Vec<(u64, u64)> = self
-            .shards
-            .iter()
-            .zip(&launch0)
-            .map(|(s, &l0)| (l0, s.gpu.launches_issued()))
-            .collect();
-        Ok(ShardedRunOut {
-            store,
-            steps_run,
-            report,
-            shard_reports,
-            elapsed_ms,
-            handoffs: total_handoffs,
-            handoff_bytes: total_handoff_bytes,
-            walkers_lost,
-            super_steps,
-            shard_launches,
-        })
+        fused.elapsed_ms += elapsed_ms;
+        Ok(store)
     }
 }
 
@@ -809,7 +751,7 @@ mod tests {
             let mut gpu = Gpu::new(GpuSpec::small());
             let solo = run_nextdoor(&mut gpu, &g, &Walk(6), &init, 42).unwrap();
             assert_eq!(
-                out.store.final_samples(),
+                out.per_query[0].final_samples(),
                 solo.store.final_samples(),
                 "{shards} shards diverged from single-device"
             );
@@ -829,9 +771,8 @@ mod tests {
         let out = sharded.query(&init, 9).unwrap();
         let mut gpu = Gpu::new(GpuSpec::small());
         let solo = run_nextdoor(&mut gpu, &g, &Fanout, &init, 9).unwrap();
-        assert_eq!(out.store.final_samples(), solo.store.final_samples());
-        for (a, b) in out
-            .store
+        assert_eq!(out.per_query[0].final_samples(), solo.store.final_samples());
+        for (a, b) in out.per_query[0]
             .final_samples()
             .iter()
             .zip(solo.store.final_samples().iter())
@@ -874,7 +815,7 @@ mod tests {
         assert_eq!(fused.launches, 1);
         for (q, sliced) in queries.iter().zip(&fused.per_query) {
             let solo = sharded.query(&q.init, q.seed).unwrap();
-            assert_eq!(sliced.final_samples(), solo.store.final_samples());
+            assert_eq!(sliced.final_samples(), solo.per_query[0].final_samples());
         }
         assert_eq!(sharded.queries_served(), 6);
     }
@@ -896,11 +837,14 @@ mod tests {
             ShardedSampler::new(GpuSpec::small(), g.clone(), Box::new(Walk(6)), 3, 7).unwrap();
         replay.schedule_faults(1, nextdoor_gpu::FaultPlan::new().lose_device_at_launch(2));
         let b = replay.query(&init, 42).unwrap();
-        assert_eq!(a.store.final_samples(), b.store.final_samples());
+        assert_eq!(
+            a.per_query[0].final_samples(),
+            b.per_query[0].final_samples()
+        );
         assert_eq!(a.walkers_lost, b.walkers_lost);
         // Surviving shards keep answering; lost walkers stay terminated.
         let c = sharded.query(&init, 43).unwrap();
-        assert!(c.steps_run > 0);
+        assert!(!c.super_steps.is_empty());
     }
 
     #[test]
@@ -914,7 +858,7 @@ mod tests {
         assert!(out.report.step_retries > 0);
         let mut gpu = Gpu::new(GpuSpec::small());
         let solo = run_nextdoor(&mut gpu, &g, &Walk(6), &init, 42).unwrap();
-        assert_eq!(out.store.final_samples(), solo.store.final_samples());
+        assert_eq!(out.per_query[0].final_samples(), solo.store.final_samples());
     }
 
     #[test]

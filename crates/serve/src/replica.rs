@@ -485,56 +485,51 @@ impl ReplicaPool {
             .observe(queries.len() as f64);
         let start_ms = self.fleet_ms;
         let mut retries = 0usize;
-        loop {
+        let err = loop {
             let Some(dev) = self.pick(None) else {
                 // Nobody is routable right now. If some breaker merely
                 // cools down, advance the fleet clock to its reopen
                 // instant (a deterministic "wait"); otherwise the fleet
                 // is gone.
-                match self.earliest_reopen() {
-                    Some(t) => {
-                        let wait_from = self.fleet_ms;
-                        self.fleet_ms = self.fleet_ms.max(t);
-                        self.cooldown_waits += 1;
-                        self.obs.metrics.sim.cooldown_waits += 1;
-                        self.obs.trace.push(
-                            Span::new(SpanKind::CooldownWait, wait_from, self.fleet_ms)
-                                .batch(batch_seq),
-                        );
-                        continue;
-                    }
-                    None => {
-                        self.obs.metrics.sim.failed += queries.len() as u64;
-                        self.obs.trace.push(
-                            Span::new(SpanKind::Dispatch, start_ms, self.fleet_ms)
-                                .batch(batch_seq)
-                                .batch_size(queries.len())
-                                .ok(false),
-                        );
-                        return Err(ServeError::NoHealthyReplica {
-                            replicas: self.replicas.len(),
-                        });
-                    }
-                }
+                let Some(t) = self.earliest_reopen() else {
+                    break ServeError::NoHealthyReplica {
+                        replicas: self.replicas.len(),
+                    };
+                };
+                let wait_from = self.fleet_ms;
+                self.fleet_ms = self.fleet_ms.max(t);
+                self.cooldown_waits += 1;
+                self.obs.metrics.sim.cooldown_waits += 1;
+                self.obs.trace.push(
+                    Span::new(SpanKind::CooldownWait, wait_from, self.fleet_ms).batch(batch_seq),
+                );
+                continue;
             };
             match self.attempt(dev, queries, batch_seq) {
-                Ok(fused) => {
-                    let end_ms = self.fleet_ms;
-                    return Ok(
-                        self.maybe_hedge(queries, fused, dev, start_ms, end_ms, retries, batch_seq)
+                Ok(primary) => {
+                    let (fused, replica, end_ms, hedged) =
+                        self.maybe_hedge(queries, primary, dev, start_ms, batch_seq);
+                    self.obs.trace.push(
+                        Span::new(SpanKind::Dispatch, start_ms, end_ms)
+                            .batch(batch_seq)
+                            .replica(replica)
+                            .batch_size(fused.per_query.len())
+                            .ok(true),
                     );
+                    return Ok(PoolResponse {
+                        fused,
+                        replica,
+                        start_ms,
+                        end_ms,
+                        retries,
+                        hedged,
+                        batch: batch_seq,
+                    });
                 }
-                Err(e) => {
-                    if !retryable(&e) || retries >= self.cfg.max_retries {
-                        self.obs.metrics.sim.failed += queries.len() as u64;
-                        self.obs.trace.push(
-                            Span::new(SpanKind::Dispatch, start_ms, self.fleet_ms)
-                                .batch(batch_seq)
-                                .batch_size(queries.len())
-                                .ok(false),
-                        );
-                        return Err(ServeError::Sampling(e));
-                    }
+                Err(e) if !retryable(&e) || retries >= self.cfg.max_retries => {
+                    break ServeError::Sampling(e);
+                }
+                Err(_) => {
                     // Exponential backoff on the fleet clock before the
                     // next attempt (which the router may send elsewhere).
                     let backoff_from = self.fleet_ms;
@@ -547,70 +542,53 @@ impl ReplicaPool {
                     );
                 }
             }
-        }
+        };
+        self.obs.metrics.sim.failed += queries.len() as u64;
+        self.obs.trace.push(
+            Span::new(SpanKind::Dispatch, start_ms, self.fleet_ms)
+                .batch(batch_seq)
+                .batch_size(queries.len())
+                .ok(false),
+        );
+        Err(err)
     }
 
-    /// Applies the hedging policy to a completed primary attempt: when its
-    /// service time exceeded the budget and another healthy replica
-    /// exists, re-dispatch there and keep the earlier completion. The
-    /// hedge is modelled as overlapping the primary's tail — it starts at
-    /// `primary start + budget` — so the batch completes at the minimum of
-    /// the two completion instants; the fleet clock is rewound to it.
-    #[allow(clippy::too_many_arguments)]
+    /// Applies the hedging policy to a completed primary attempt that
+    /// ended at the current fleet clock: when its service time exceeded the
+    /// budget and another healthy replica exists, re-dispatch there and
+    /// keep the earlier completion. The hedge is modelled as overlapping
+    /// the primary's tail — it starts at `primary start + budget` — so the
+    /// batch completes at the minimum of the two completion instants; the
+    /// fleet clock is rewound to it. Returns the kept result, its replica,
+    /// the batch's completion instant and whether a hedge was sent.
     fn maybe_hedge(
         &mut self,
         queries: &[SessionQuery],
         primary: FusedResult,
         dev: usize,
         start_ms: f64,
-        primary_end_ms: f64,
-        retries: usize,
         batch_seq: u64,
-    ) -> PoolResponse {
-        let primary_dt = primary_end_ms - start_ms;
+    ) -> (FusedResult, usize, f64, bool) {
+        let primary_end_ms = self.fleet_ms;
         let Some(budget) = self.cfg.hedge_after_ms else {
-            return self.pool_response(
-                primary,
-                dev,
-                start_ms,
-                primary_end_ms,
-                retries,
-                false,
-                batch_seq,
-            );
+            return (primary, dev, primary_end_ms, false);
         };
-        if primary_dt <= budget {
-            return self.pool_response(
-                primary,
-                dev,
-                start_ms,
-                primary_end_ms,
-                retries,
-                false,
-                batch_seq,
-            );
+        if primary_end_ms - start_ms <= budget {
+            return (primary, dev, primary_end_ms, false);
         }
         let Some(hedge_dev) = self.pick(Some(dev)) else {
-            return self.pool_response(
-                primary,
-                dev,
-                start_ms,
-                primary_end_ms,
-                retries,
-                false,
-                batch_seq,
-            );
+            return (primary, dev, primary_end_ms, false);
         };
         self.hedges += 1;
         self.replicas[hedge_dev].hedges += 1;
         self.obs.metrics.sim.hedges += 1;
+        let hedge_start_ms = start_ms + budget;
         match self.attempt(hedge_dev, queries, batch_seq) {
             Ok(hedged) => {
-                let hedge_dt = self.fleet_ms - primary_end_ms;
-                let hedge_end_ms = start_ms + budget + hedge_dt;
+                let hedge_end_ms = hedge_start_ms + (self.fleet_ms - primary_end_ms);
                 let win = hedge_end_ms < primary_end_ms;
                 self.obs.trace.push(
-                    Span::new(SpanKind::Hedge, start_ms + budget, hedge_end_ms)
+                    Span::new(SpanKind::Hedge, hedge_start_ms, hedge_end_ms)
                         .batch(batch_seq)
                         .replica(hedge_dev)
                         .ok(win),
@@ -626,79 +604,25 @@ impl ReplicaPool {
                         "hedge must mirror the primary batch"
                     );
                     self.fleet_ms = hedge_end_ms;
-                    return self.pool_response(
-                        hedged,
-                        hedge_dev,
-                        start_ms,
-                        hedge_end_ms,
-                        retries,
-                        true,
-                        batch_seq,
-                    );
+                    return (hedged, hedge_dev, hedge_end_ms, true);
                 }
-                // The primary would still have finished first: its
-                // completion stands, the hedge only burned spare capacity.
-                self.fleet_ms = primary_end_ms;
-                self.pool_response(
-                    primary,
-                    dev,
-                    start_ms,
-                    primary_end_ms,
-                    retries,
-                    true,
-                    batch_seq,
-                )
             }
             Err(_) => {
                 // A failed hedge never hurts the already-complete primary;
-                // the failure is recorded against the hedge replica.
+                // the failure is recorded against the hedge replica, its
+                // span ending where the fleet clock stands before the rewind.
                 self.obs.trace.push(
-                    Span::new(SpanKind::Hedge, start_ms + budget, self.fleet_ms)
+                    Span::new(SpanKind::Hedge, hedge_start_ms, self.fleet_ms)
                         .batch(batch_seq)
                         .replica(hedge_dev)
                         .ok(false),
                 );
-                self.fleet_ms = primary_end_ms;
-                self.pool_response(
-                    primary,
-                    dev,
-                    start_ms,
-                    primary_end_ms,
-                    retries,
-                    true,
-                    batch_seq,
-                )
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn pool_response(
-        &mut self,
-        fused: FusedResult,
-        replica: usize,
-        start_ms: f64,
-        end_ms: f64,
-        retries: usize,
-        hedged: bool,
-        batch_seq: u64,
-    ) -> PoolResponse {
-        self.obs.trace.push(
-            Span::new(SpanKind::Dispatch, start_ms, end_ms)
-                .batch(batch_seq)
-                .replica(replica)
-                .batch_size(fused.per_query.len())
-                .ok(true),
-        );
-        PoolResponse {
-            fused,
-            replica,
-            start_ms,
-            end_ms,
-            retries,
-            hedged,
-            batch: batch_seq,
-        }
+        // The primary finished first (or the hedge failed): its completion
+        // stands, the hedge only burned spare capacity.
+        self.fleet_ms = primary_end_ms;
+        (primary, dev, primary_end_ms, true)
     }
 }
 

@@ -264,9 +264,13 @@ impl ShardedPool {
             let batch_queries: Vec<SessionQuery> =
                 admitted.iter().map(|&qi| queries[qi].clone()).collect();
             let before_dead: Vec<bool> = (0..shards).map(|s| self.sampler.shard_lost(s)).collect();
-            let fused = self.fused_run(&batch_queries)?;
+            let fused = self.sampler.query_fused(&batch_queries)?;
             handoffs = fused.handoffs;
             walkers_lost = fused.walkers_lost;
+            self.handoffs += handoffs;
+            self.handoff_bytes += fused.handoff_bytes;
+            self.super_steps += fused.super_steps.len() as u64;
+            self.walkers_lost += walkers_lost;
             self.record_batch(batch, start_ms, &fused, admitted.len());
 
             // Per-shard health: a shard that died during the batch goes
@@ -305,17 +309,6 @@ impl ShardedPool {
             handoffs,
             walkers_lost,
         })
-    }
-
-    /// Runs the admitted slice as one fused sharded batch and folds the
-    /// per-shard fault reports into the pool's accounting.
-    fn fused_run(&mut self, queries: &[SessionQuery]) -> Result<ShardedFusedResult, ServeError> {
-        let fused = self.sampler.query_fused(queries)?;
-        self.handoffs += fused.handoffs;
-        self.handoff_bytes += fused.handoff_bytes;
-        self.super_steps += fused.super_steps.len() as u64;
-        self.walkers_lost += fused.walkers_lost;
-        Ok(fused)
     }
 
     /// Records the dispatch, super-step and hand-off spans plus the metric

@@ -103,7 +103,7 @@ fn sharded_runners() -> Vec<(&'static str, Box<Runner>)> {
                     let mut s =
                         ShardedSampler::new(GpuSpec::small(), g.clone(), app(), shards, 0x5AD0)
                             .unwrap();
-                    s.query(init, seed).unwrap().store
+                    s.query(init, seed).unwrap().per_query.swap_remove(0)
                 },
             );
             (name, runner)

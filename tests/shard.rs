@@ -100,7 +100,7 @@ proptest! {
         let out = sharded.query(&init, seed).unwrap();
         let mut gpu = Gpu::new(GpuSpec::small());
         let solo = run_nextdoor(&mut gpu, &g, make_app(app_idx).as_ref(), &init, seed).unwrap();
-        prop_assert_eq!(digest(&out.store), digest(&solo.store));
+        prop_assert_eq!(digest(&out.per_query[0]), digest(&solo.store));
         prop_assert!(out.report.is_clean());
         prop_assert_eq!(out.walkers_lost, 0);
     }
@@ -126,7 +126,7 @@ proptest! {
             let mut solo =
                 ShardedSampler::new(GpuSpec::small(), g.clone(), make_app(0), shards, 7).unwrap();
             let want = solo.query(&q.init, q.seed).unwrap();
-            prop_assert_eq!(digest(got), digest(&want.store));
+            prop_assert_eq!(digest(got), digest(&want.per_query[0]));
         }
     }
 
@@ -152,7 +152,7 @@ proptest! {
         let out = sharded.query(&init, seed).unwrap();
         let mut gpu = Gpu::new(GpuSpec::small());
         let solo = run_nextdoor(&mut gpu, &g, make_app(app_idx).as_ref(), &init, seed).unwrap();
-        prop_assert_eq!(digest(&out.store), digest(&solo.store));
+        prop_assert_eq!(digest(&out.per_query[0]), digest(&solo.store));
         prop_assert_eq!(out.walkers_lost, 0);
         let r = &out.shard_reports[faulty];
         if r.alloc_faults + r.transient_faults > 0 {
@@ -187,7 +187,7 @@ fn failed_seed_broadcast_upload_is_retried() {
     assert!(out.shard_reports[0].is_clean());
     let mut gpu = Gpu::new(GpuSpec::small());
     let solo = run_nextdoor(&mut gpu, &graph, &DeepWalk::new(5), &init, 42).unwrap();
-    assert_eq!(digest(&out.store), digest(&solo.store));
+    assert_eq!(digest(&out.per_query[0]), digest(&solo.store));
 }
 
 #[test]
@@ -212,6 +212,55 @@ fn shard_step_faulting_past_the_budget_is_a_kernel_fault() {
         ),
         "got {err:?}"
     );
+}
+
+#[test]
+fn mixed_width_fused_batch_accounts_like_its_parts() {
+    // A fresh 3-shard fleet with a transient fault on one shard runs a
+    // batch of widths {1, 2}: two width classes, one fleet clock, and
+    // batch telemetry that sums exactly what the classes did.
+    let graph = rmat(8, 2000, RmatParams::SKEWED, 3);
+    let fleet = || ShardedSampler::new(GpuSpec::small(), graph.clone(), make_app(0), 3, 7).unwrap();
+    let queries: Vec<SessionQuery> = [1usize, 2, 1, 2]
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| SessionQuery {
+            init: (0..6)
+                .map(|s| vec![(s * 23 + i as u32 * 5) % 256; w])
+                .collect(),
+            seed: 300 + i as u64,
+        })
+        .collect();
+    let mut sharded = fleet();
+    sharded.schedule_faults(1, FaultPlan::new().transient_at_launch(3));
+    let fused = sharded.query_fused(&queries).unwrap();
+
+    assert_eq!(fused.launches, 2, "widths {{1, 2}} form two classes");
+    assert!(
+        fused.report.transient_faults > 0,
+        "the scheduled fault fired"
+    );
+    let mut merged = nextdoor::core::FaultReport::default();
+    for r in &fused.shard_reports {
+        merged.merge(r);
+    }
+    assert_eq!(fused.report, merged);
+    assert_eq!(fused.elapsed_ms, sharded.clock_ms());
+    let mark_walkers: u64 = fused
+        .super_steps
+        .iter()
+        .flat_map(|m| m.handoffs.iter().map(|h| h.walkers))
+        .sum();
+    assert_eq!(fused.handoffs, mark_walkers);
+
+    assert_eq!(fused.per_query.len(), queries.len());
+    for (q, got) in queries.iter().zip(&fused.per_query) {
+        let alone = fleet().query_fused(std::slice::from_ref(q)).unwrap();
+        assert_eq!(digest(got), digest(&alone.per_query[0]));
+        let mut gpu = Gpu::new(GpuSpec::small());
+        let solo = run_nextdoor(&mut gpu, &graph, make_app(0).as_ref(), &q.init, q.seed).unwrap();
+        assert_eq!(digest(got), digest(&solo.store));
+    }
 }
 
 #[test]
