@@ -157,6 +157,11 @@ impl SamplingApp for Node2Vec {
         1
     }
 
+    /// The `has_edge(t, u)` probe reads the previous transit's row.
+    fn reads_other_rows(&self) -> bool {
+        true
+    }
+
     fn next(&self, ctx: &mut NextCtx<'_>) -> Option<VertexId> {
         let d = ctx.num_edges();
         if d == 0 {

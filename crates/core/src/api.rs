@@ -480,6 +480,14 @@ pub trait SamplingApp: Sync {
         false
     }
 
+    /// Whether `next` reads the adjacency of vertices other than its
+    /// transits, e.g. node2vec's [`NextCtx::has_edge`] probe on the
+    /// previous transit's row. A sharded placement holds only the rows its
+    /// shard owns, so it rejects such apps.
+    fn reads_other_rows(&self) -> bool {
+        false
+    }
+
     /// Samples one vertex (`next`), or `None` for the paper's `NULL`.
     fn next(&self, ctx: &mut NextCtx<'_>) -> Option<VertexId>;
 

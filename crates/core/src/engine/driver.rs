@@ -193,7 +193,7 @@ pub(crate) fn exec_step(
 /// Classifies a fallible device allocation: `Ok(Some(_))` succeeded,
 /// `Ok(None)` hit an injected fault (absorbed into `report`; retry the
 /// operation), `Err(_)` is genuine memory exhaustion or device loss.
-pub(crate) fn absorb_alloc_fault<T>(
+fn absorb_alloc_fault<T>(
     gpu: &mut Gpu,
     report: &mut FaultReport,
     res: Result<T, OutOfMemory>,
@@ -217,7 +217,7 @@ pub(crate) fn absorb_alloc_fault<T>(
 
 /// Charges one retry of `step` to `report`, or fails with
 /// [`NextDoorError::KernelFault`] once [`MAX_STEP_RETRIES`] are spent.
-pub(crate) fn spend_retry(
+fn spend_retry(
     retries: &mut usize,
     report: &mut FaultReport,
     step: usize,
@@ -262,6 +262,25 @@ pub(crate) fn retry_step<T>(
             }
         }
         spend_retry(&mut retries, report, step)?;
+    }
+}
+
+/// Uploads the initial frontier, retrying injected allocation faults as
+/// step 0 through [`spend_retry`]. Unlike [`retry_step`] it leaves pending
+/// launch-fault events on the device: those belong to the first step that
+/// launches a kernel, not to the upload.
+pub(crate) fn upload_frontier(
+    gpu: &mut Gpu,
+    report: &mut FaultReport,
+    init_flat: &[u32],
+) -> Result<DeviceBuffer<u32>, NextDoorError> {
+    let mut retries = 0usize;
+    loop {
+        let res = gpu.try_to_device(init_flat);
+        if let Some(buf) = absorb_alloc_fault(gpu, report, res)? {
+            return Ok(buf);
+        }
+        spend_retry(&mut retries, report, 0)?;
     }
 }
 
@@ -337,16 +356,7 @@ pub(crate) fn run_step_loop(
     let mut steps_run = 0usize;
     let mut step_marks: Vec<(usize, u64, u64)> = Vec::new();
     let init_flat: Vec<u32> = init.iter().flatten().copied().collect();
-    let mut prev_buf = {
-        let mut retries = 0usize;
-        loop {
-            let res = gpu.try_to_device(&init_flat);
-            match absorb_alloc_fault(gpu, &mut report, res)? {
-                Some(b) => break b,
-                None => spend_retry(&mut retries, &mut report, 0)?,
-            }
-        }
-    };
+    let mut prev_buf = upload_frontier(gpu, &mut report, &init_flat)?;
     for step in 0..step_budget(app) {
         let plan = plan_step(app, &store, step, keys);
         if plan.live == 0 {

@@ -11,7 +11,7 @@
 //! [`Counters`] — tests assert this conservation
 //! property for every engine.
 
-use nextdoor_gpu::profile::KernelRecord;
+use nextdoor_gpu::profile::{summarize_kernels, KernelRecord, KernelSummary};
 use nextdoor_gpu::{Counters, Gpu};
 
 /// Which stage of the sampling pipeline a kernel implements.
@@ -172,17 +172,31 @@ impl RunProfile {
             .kernels()
             .filter(|k| k.launch_idx >= launch0)
             .collect();
-        let kernels = aggregate(records.iter().copied(), |c| spec.cycles_to_ms(c));
+        // The device's group-by-name fold, plus each kernel's phase and ms.
+        let breakdown = |summaries: Vec<KernelSummary>| -> Vec<KernelBreakdown> {
+            summaries
+                .into_iter()
+                .map(|s| KernelBreakdown {
+                    phase: classify_kernel(&s.name),
+                    ms: spec.cycles_to_ms(s.cycles),
+                    name: s.name,
+                    launches: s.launches,
+                    cycles: s.cycles,
+                    counters: s.counters,
+                    avg_occupancy: s.avg_occupancy,
+                })
+                .collect()
+        };
+        let kernels = breakdown(summarize_kernels(records.iter().copied()));
         let steps = step_marks
             .iter()
             .map(|&(step, start, end)| {
-                let ks = aggregate(
+                let ks = breakdown(summarize_kernels(
                     records
                         .iter()
                         .copied()
                         .filter(|k| k.launch_idx >= start && k.launch_idx < end),
-                    |c| spec.cycles_to_ms(c),
-                );
+                ));
                 let cycles = ks.iter().map(|k| k.cycles).sum();
                 StepProfile {
                     step,
@@ -201,41 +215,6 @@ impl RunProfile {
             in_run_evicted: gpu.profile().evicted_events(),
         }
     }
-}
-
-/// Groups kernel records by name; deterministic (first-launch order for
-/// ties), sorted by total cycles descending.
-fn aggregate<'a>(
-    records: impl Iterator<Item = &'a KernelRecord>,
-    cycles_to_ms: impl Fn(f64) -> f64,
-) -> Vec<KernelBreakdown> {
-    let mut order: Vec<KernelBreakdown> = Vec::new();
-    for k in records {
-        let idx = match order.iter().position(|b| b.name == k.name) {
-            Some(i) => i,
-            None => {
-                order.push(KernelBreakdown {
-                    name: k.name.clone(),
-                    phase: classify_kernel(&k.name),
-                    ..KernelBreakdown::default()
-                });
-                order.len() - 1
-            }
-        };
-        let b = &mut order[idx];
-        b.launches += 1;
-        b.cycles += k.cycles;
-        b.counters.merge(&k.counters);
-        b.avg_occupancy += k.occupancy;
-    }
-    for b in &mut order {
-        if b.launches > 0 {
-            b.avg_occupancy /= b.launches as f64;
-        }
-        b.ms = cycles_to_ms(b.cycles);
-    }
-    order.sort_by(|a, b| b.cycles.total_cmp(&a.cycles));
-    order
 }
 
 #[cfg(test)]

@@ -39,12 +39,12 @@
 //! Sharding supports individual-transit applications that neither require
 //! per-step unique neighbours nor read adjacency of vertices other than
 //! the current transit. Collective apps need the combined neighbourhood of
-//! transits that may span shards, and `unique` needs cross-shard
-//! deduplication — both are rejected at construction with
-//! [`NextDoorError::ShardUnsupported`]. (Node2Vec-style apps that probe
-//! `has_edge` on the *previous* transit's row are accepted but only
-//! bit-identical when both transits share a shard; route such apps to the
-//! single-device session instead.)
+//! transits that may span shards, `unique` needs cross-shard
+//! deduplication, and an app declaring
+//! [`SamplingApp::reads_other_rows`] (node2vec probes `has_edge` on the
+//! *previous* transit's row, which another shard may own) would diverge
+//! from the single-device run — all three are rejected at construction
+//! with [`NextDoorError::ShardUnsupported`].
 //!
 //! ```
 //! use nextdoor_core::api::{NextCtx, SamplingApp, Steps};
@@ -80,9 +80,7 @@
 //! ```
 
 use crate::api::{SamplingApp, SamplingType, NULL_VERTEX};
-use crate::engine::driver::{
-    absorb_alloc_fault, exec_step, live_pairs, retry_step, spend_retry, GpuEngineKind,
-};
+use crate::engine::driver::{exec_step, live_pairs, retry_step, upload_frontier, GpuEngineKind};
 use crate::engine::kernels::{charge_step_transits, StepExec, StepOut};
 use crate::engine::{finish_step, plan_step, step_budget, SampleKeys};
 use crate::error::{FaultReport, NextDoorError};
@@ -204,7 +202,8 @@ impl ShardedSampler {
     /// [`NextDoorError::NoGpus`] for zero shards,
     /// [`NextDoorError::ShardUnsupported`] when the partition is degenerate
     /// (more shards than vertices) or the app needs collective
-    /// neighbourhoods or per-step uniqueness, and
+    /// neighbourhoods, per-step uniqueness or rows other than its
+    /// transit's, and
     /// [`NextDoorError::OutOfMemory`] when a shard's sub-graph does not fit
     /// on its device.
     pub fn new(
@@ -233,6 +232,14 @@ impl ShardedSampler {
                 reason: format!(
                     "{} requires per-step unique neighbours, which needs cross-shard \
                      deduplication",
+                    app.name()
+                ),
+            });
+        }
+        if app.reads_other_rows() {
+            return Err(NextDoorError::ShardUnsupported {
+                reason: format!(
+                    "{} reads rows other than its transit's, which another shard may own",
                     app.name()
                 ),
             });
@@ -463,18 +470,13 @@ impl ShardedSampler {
                 continue;
             }
             let c0 = shard.gpu.counters().cycles;
-            let mut retries = 0usize;
-            let buf = loop {
-                let res = shard.gpu.try_to_device(&init_flat);
-                match absorb_alloc_fault(&mut shard.gpu, &mut shard_reports[s], res) {
-                    Ok(Some(b)) => break Some(b),
-                    Ok(None) => spend_retry(&mut retries, &mut shard_reports[s], 0)?,
-                    Err(NextDoorError::DeviceLost { .. }) => {
-                        shard.dead = true;
-                        break None;
-                    }
-                    Err(e) => return Err(e),
+            let buf = match upload_frontier(&mut shard.gpu, &mut shard_reports[s], &init_flat) {
+                Ok(b) => Some(b),
+                Err(NextDoorError::DeviceLost { .. }) => {
+                    shard.dead = true;
+                    None
                 }
+                Err(e) => return Err(e),
             };
             init_ms = init_ms.max(self.spec.cycles_to_ms(shard.gpu.counters().cycles - c0));
             prev_bufs.push(buf);

@@ -238,9 +238,10 @@ impl ProfileSummary {
         let open = rest
             .find('[')
             .ok_or_else(|| "\"kernels\" is not an array".to_string())?;
-        let close = rest
-            .find(']')
-            .ok_or_else(|| "unterminated \"kernels\" array".to_string())?;
+        let close = open
+            + rest[open..]
+                .find(']')
+                .ok_or_else(|| "unterminated \"kernels\" array".to_string())?;
         let body = &rest[open + 1..close];
         let mut s = ProfileSummary::default();
         let mut bg_ms = 0.0f64;
@@ -887,6 +888,8 @@ mod tests {
         assert!((s.bg_sm_utilization - 0.25).abs() < 1e-9);
         assert!((s.bg_occupancy - 0.5).abs() < 1e-9);
         assert!(ProfileSummary::from_kernel_report_json("{}").is_err());
+        assert!(ProfileSummary::from_kernel_report_json("{\"kernels\": ] [ }").is_err());
+        assert!(ProfileSummary::from_kernel_report_json("{\"kernels\": [").is_err());
     }
 
     #[test]

@@ -90,7 +90,6 @@ pub struct Gpu {
     tracker: Arc<MemTracker>,
     host_threads: usize,
     counters: Counters,
-    kernel_log: Vec<KernelStats>,
     profile: Profile,
     charge_transfers: bool,
     fault_plan: Option<FaultPlan>,
@@ -114,7 +113,6 @@ impl Gpu {
             tracker,
             host_threads,
             counters: Counters::default(),
-            kernel_log: Vec::new(),
             profile: Profile::default(),
             charge_transfers: false,
             fault_plan: None,
@@ -332,15 +330,10 @@ impl Gpu {
         &mut self,
         name: &str,
         cfg: LaunchConfig,
-        mut kernel: impl FnMut(&mut BlockCtx<'_>),
+        kernel: impl FnMut(&mut BlockCtx<'_>),
     ) -> KernelStats {
         let launch_idx = self.pre_launch(name);
-        let mut blocks = Vec::with_capacity(cfg.grid_dim);
-        for b in 0..cfg.grid_dim {
-            let mut ctx = BlockCtx::new(b, cfg.block_dim, &self.spec);
-            kernel(&mut ctx);
-            blocks.push(ctx.stats);
-        }
+        let blocks = run_blocks_sequential(&self.spec, cfg, kernel);
         self.post_launch(name, cfg, launch_idx, &blocks)
     }
 
@@ -427,15 +420,13 @@ impl Gpu {
             per_sm_busy: sch.per_sm,
             shared_mem_bytes: max_shared_words * 4,
         }));
-        let stats = KernelStats {
+        KernelStats {
             name: name.to_string(),
             blocks: cfg.grid_dim,
             threads_per_block: cfg.block_dim,
             cycles,
             counters: launch_counters,
-        };
-        self.kernel_log.push(stats.clone());
-        stats
+        }
     }
 
     /// Number of blocks of `block_dim` threads and `shared_bytes` of shared
@@ -449,11 +440,6 @@ impl Gpu {
     /// Accumulated counters over all launches and transfers.
     pub fn counters(&self) -> &Counters {
         &self.counters
-    }
-
-    /// Per-launch log, in launch order.
-    pub fn kernel_log(&self) -> &[KernelStats] {
-        &self.kernel_log
     }
 
     /// The bounded per-kernel/per-transfer profile buffer (see
@@ -491,20 +477,21 @@ impl Gpu {
         self.spec.cycles_to_ms(self.counters.cycles)
     }
 
-    /// Resets counters, the kernel log and the profile buffer (memory stays
-    /// allocated).
+    /// Resets the counters and the profile buffer. Allocated memory stays
+    /// allocated, and the launch and allocation sequence numbers keep
+    /// counting (fault plans and span links key off them).
     pub fn reset_counters(&mut self) {
         self.counters = Counters::default();
-        self.kernel_log.clear();
         self.profile.clear();
     }
 }
 
-/// The sequential block loop: today's exact code path (`host_threads = 1`).
+/// The sequential block loop, in block order: [`Gpu::launch`]'s path at
+/// `host_threads = 1` and [`Gpu::launch_ordered`]'s only path.
 fn run_blocks_sequential(
     spec: &GpuSpec,
     cfg: LaunchConfig,
-    kernel: impl Fn(&mut BlockCtx<'_>),
+    mut kernel: impl FnMut(&mut BlockCtx<'_>),
 ) -> Vec<BlockStats> {
     let mut blocks = Vec::with_capacity(cfg.grid_dim);
     for b in 0..cfg.grid_dim {
@@ -750,14 +737,14 @@ mod tests {
         );
         gpu.reset_counters();
         assert_eq!(gpu.counters().cycles, 0.0);
-        assert_eq!(gpu.kernel_log().len(), 0);
+        assert!(gpu.profile().is_empty());
         assert_eq!(buf.as_slice(), &[1, 2, 3]);
     }
 
     /// Runs the same skewed workload at a given thread count and returns
     /// everything observable: output data, counters, and block-time-derived
     /// cycle totals.
-    fn run_at_threads(threads: usize) -> (Vec<u32>, Counters, Vec<KernelStats>) {
+    fn run_at_threads(threads: usize) -> (Vec<u32>, Counters, Vec<KernelRecord>) {
         let mut spec = GpuSpec::small();
         spec.host_threads = threads;
         let mut gpu = Gpu::new(spec);
@@ -781,7 +768,7 @@ mod tests {
         (
             dst.as_slice().to_vec(),
             *gpu.counters(),
-            gpu.kernel_log().to_vec(),
+            gpu.profile().kernels().cloned().collect(),
         )
     }
 

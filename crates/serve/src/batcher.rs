@@ -486,7 +486,6 @@ pub struct Batcher<D: Dispatch> {
     cfg: ServeConfig,
     pending: VecDeque<Pending>,
     next_id: u64,
-    shed: u64,
     degraded_since: Option<f64>,
     degraded_intervals: Vec<(f64, f64)>,
 }
@@ -514,7 +513,6 @@ impl<D: Dispatch> Batcher<D> {
             cfg,
             pending: VecDeque::new(),
             next_id: 0,
-            shed: 0,
             degraded_since: None,
             degraded_intervals: Vec::new(),
         })
@@ -657,7 +655,6 @@ impl<D: Dispatch> Batcher<D> {
             let Some(p) = self.pending.remove(victim) else {
                 break;
             };
-            self.shed += 1;
             let obs = self.backend.obs_mut();
             obs.metrics.sim.overload_shed += 1;
             obs.metrics.priority_mut(p.req.priority).overload_shed += 1;
@@ -881,12 +878,11 @@ impl FleetBatcher {
         &mut self.backend
     }
 
-    /// The full fleet report: the pool's dispatch/recovery counters plus
-    /// this batcher's shedding and degraded-mode intervals (an interval
-    /// still open is closed at the current fleet clock).
+    /// The full fleet report: the pool's [`ReplicaPool::report_core`] plus
+    /// this batcher's degraded-mode intervals (an interval still open is
+    /// closed at the current fleet clock).
     pub fn report(&self) -> FleetReport {
         let mut rep = self.backend.report_core();
-        rep.shed = self.shed;
         rep.degraded_intervals = self.degraded_intervals.clone();
         if let Some(start) = self.degraded_since {
             rep.degraded_intervals

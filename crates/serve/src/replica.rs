@@ -45,11 +45,12 @@
 use crate::batcher::{record_class_launches, Dispatch};
 use crate::error::ServeError;
 use crate::health::{BreakerConfig, CircuitBreaker};
-use crate::metrics::ServeMetrics;
+use crate::metrics::{ServeMetrics, SimMetrics};
 use crate::trace::{Obs, Span, SpanKind, Tracer};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_core::multi_gpu::least_loaded_alive;
 use nextdoor_core::session::{FusedResult, SamplerSession, SessionQuery};
+use nextdoor_core::sharded::HANDOFF_BYTES_PER_WALKER;
 use nextdoor_core::{validate_run, FaultReport, NextDoorError};
 use nextdoor_gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor_graph::{Csr, VertexId};
@@ -80,7 +81,8 @@ impl Default for PoolConfig {
     }
 }
 
-/// Per-replica slice of a [`FleetReport`].
+/// Per-replica slice of a [`FleetReport`]. The sharded tier keeps one per
+/// shard.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplicaStats {
     /// Fused batches dispatched to this replica (probes and hedges
@@ -103,9 +105,28 @@ pub struct ReplicaStats {
     pub faults: FaultReport,
 }
 
+impl ReplicaStats {
+    /// These counters with `breaker`'s trips, probes and recoveries and the
+    /// unit's loss stamped in, as of report time.
+    pub(crate) fn with_health(&self, breaker: &CircuitBreaker, lost: bool) -> ReplicaStats {
+        ReplicaStats {
+            trips: breaker.trips,
+            probes: breaker.probes,
+            recoveries: breaker.recoveries,
+            lost,
+            ..self.clone()
+        }
+    }
+}
+
 /// Everything a chaos run observes of the fleet's recovery behaviour, in
 /// one serializable report. Deterministic: a scripted run reproduces this
 /// bit-for-bit at any host worker-thread count.
+///
+/// The fleet-wide serving events (retries, hedges, shedding, cool-down
+/// waits, hand-offs, super-steps) are read from the tier's
+/// [`ServeMetrics`] registry when the report is built, so the report and
+/// the metrics snapshot cannot disagree.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetReport {
     /// Per-replica counters, indexed by replica id.
@@ -149,16 +170,41 @@ impl FleetReport {
     pub fn digest(&self) -> String {
         format!("{self:#?}\n")
     }
+
+    /// A report over `replicas` whose fleet-wide event counts come from
+    /// the metrics registry `sim`; the pool supplies only what no metric
+    /// records. Degraded intervals start empty (the batcher adds them).
+    pub(crate) fn from_metrics(
+        sim: &SimMetrics,
+        replicas: Vec<ReplicaStats>,
+        batches: u64,
+        requests: u64,
+        walkers_lost: u64,
+        fleet_ms: f64,
+    ) -> FleetReport {
+        FleetReport {
+            replicas,
+            batches,
+            requests,
+            retries: sim.retries,
+            hedges: sim.hedges,
+            hedge_wins: sim.hedge_wins,
+            shed: sim.overload_shed + sim.shard_shed,
+            cooldown_waits: sim.cooldown_waits,
+            degraded_intervals: Vec::new(),
+            handoffs: sim.handoffs,
+            handoff_bytes: sim.handoffs * HANDOFF_BYTES_PER_WALKER,
+            super_steps: sim.super_steps,
+            walkers_lost,
+            fleet_ms,
+        }
+    }
 }
 
 struct Replica {
     session: SamplerSession,
     breaker: CircuitBreaker,
-    dispatches: u64,
-    failures: u64,
-    hedges: u64,
-    lost: bool,
-    faults: FaultReport,
+    stats: ReplicaStats,
 }
 
 /// A successfully dispatched batch, with the pool's fleet-clock
@@ -210,12 +256,7 @@ pub struct ReplicaPool {
     replicas: Vec<Replica>,
     cfg: PoolConfig,
     fleet_ms: f64,
-    batches: u64,
     requests: u64,
-    retries: u64,
-    hedges: u64,
-    hedge_wins: u64,
-    cooldown_waits: u64,
     /// The fleet's span stream and metrics registry. The
     /// [`FleetBatcher`](crate::FleetBatcher) records its request-level
     /// events here too (through [`Dispatch::obs_mut`]), so one serving
@@ -246,23 +287,14 @@ impl ReplicaPool {
             replicas.push(Replica {
                 session: SamplerSession::with_gpu(gpu, graph.clone(), app)?,
                 breaker: CircuitBreaker::new(cfg.breaker),
-                dispatches: 0,
-                failures: 0,
-                hedges: 0,
-                lost: false,
-                faults: FaultReport::default(),
+                stats: ReplicaStats::default(),
             });
         }
         Ok(ReplicaPool {
             replicas,
             cfg,
             fleet_ms: 0.0,
-            batches: 0,
             requests: 0,
-            retries: 0,
-            hedges: 0,
-            hedge_wins: 0,
-            cooldown_waits: 0,
             obs: Obs::default(),
         })
     }
@@ -347,38 +379,16 @@ impl ReplicaPool {
         &self.obs.metrics
     }
 
-    /// The pool-level slice of the [`FleetReport`] (the batcher above adds
-    /// shedding and degraded intervals).
+    /// The pool-level [`FleetReport`], its fleet-wide counters read from
+    /// the metrics registry (the batcher above adds degraded intervals).
     pub fn report_core(&self) -> FleetReport {
-        FleetReport {
-            replicas: self
-                .replicas
-                .iter()
-                .map(|r| ReplicaStats {
-                    dispatches: r.dispatches,
-                    failures: r.failures,
-                    hedges: r.hedges,
-                    trips: r.breaker.trips,
-                    probes: r.breaker.probes,
-                    recoveries: r.breaker.recoveries,
-                    lost: r.lost,
-                    faults: r.faults.clone(),
-                })
-                .collect(),
-            batches: self.batches,
-            requests: self.requests,
-            retries: self.retries,
-            hedges: self.hedges,
-            hedge_wins: self.hedge_wins,
-            shed: 0,
-            cooldown_waits: self.cooldown_waits,
-            degraded_intervals: Vec::new(),
-            handoffs: 0,
-            handoff_bytes: 0,
-            super_steps: 0,
-            walkers_lost: 0,
-            fleet_ms: self.fleet_ms,
-        }
+        let replicas = self
+            .replicas
+            .iter()
+            .map(|r| r.stats.with_health(&r.breaker, r.breaker.is_dead()))
+            .collect();
+        let sim = &self.obs.metrics.sim;
+        FleetReport::from_metrics(sim, replicas, sim.batches, self.requests, 0, self.fleet_ms)
     }
 
     /// The least-loaded routable replica (load = accumulated device sim
@@ -418,7 +428,7 @@ impl ReplicaPool {
         let fleet_t0 = self.fleet_ms;
         let r = &mut self.replicas[dev];
         r.breaker.begin_dispatch(self.fleet_ms);
-        r.dispatches += 1;
+        r.stats.dispatches += 1;
         let t0 = r.session.sim_ms();
         let launch0 = r.session.gpu().launches_issued();
         let res = r.session.query_fused(queries);
@@ -447,14 +457,13 @@ impl ReplicaPool {
                     fleet_t0 - t0,
                 );
                 r.breaker.record_success();
-                r.faults.merge(&fused.report);
+                r.stats.faults.merge(&fused.report);
                 Ok(fused)
             }
             Err(e) => {
-                r.failures += 1;
+                r.stats.failures += 1;
                 if matches!(e, NextDoorError::DeviceLost { .. }) || r.session.device_lost() {
                     r.breaker.kill();
-                    r.lost = true;
                 } else {
                     r.breaker.record_failure(self.fleet_ms);
                 }
@@ -474,7 +483,6 @@ impl ReplicaPool {
     /// lost; [`ServeError::Sampling`] for request errors (immediately) and
     /// for runtime errors that survived the retry budget.
     pub fn dispatch(&mut self, queries: &[SessionQuery]) -> Result<PoolResponse, ServeError> {
-        self.batches += 1;
         self.requests += queries.len() as u64;
         let batch_seq = self.obs.trace.next_batch_id();
         self.obs.metrics.sim.batches += 1;
@@ -498,7 +506,6 @@ impl ReplicaPool {
                 };
                 let wait_from = self.fleet_ms;
                 self.fleet_ms = self.fleet_ms.max(t);
-                self.cooldown_waits += 1;
                 self.obs.metrics.sim.cooldown_waits += 1;
                 self.obs.trace.push(
                     Span::new(SpanKind::CooldownWait, wait_from, self.fleet_ms).batch(batch_seq),
@@ -535,7 +542,6 @@ impl ReplicaPool {
                     let backoff_from = self.fleet_ms;
                     self.fleet_ms += self.cfg.backoff_base_ms * (1u64 << retries) as f64;
                     retries += 1;
-                    self.retries += 1;
                     self.obs.metrics.sim.retries += 1;
                     self.obs.trace.push(
                         Span::new(SpanKind::Backoff, backoff_from, self.fleet_ms).batch(batch_seq),
@@ -579,8 +585,7 @@ impl ReplicaPool {
         let Some(hedge_dev) = self.pick(Some(dev)) else {
             return (primary, dev, primary_end_ms, false);
         };
-        self.hedges += 1;
-        self.replicas[hedge_dev].hedges += 1;
+        self.replicas[hedge_dev].stats.hedges += 1;
         self.obs.metrics.sim.hedges += 1;
         let hedge_start_ms = start_ms + budget;
         match self.attempt(hedge_dev, queries, batch_seq) {
@@ -594,7 +599,6 @@ impl ReplicaPool {
                         .ok(win),
                 );
                 if win {
-                    self.hedge_wins += 1;
                     self.obs.metrics.sim.hedge_wins += 1;
                     // Both results are bit-identical (counter-keyed RNG);
                     // keep the winner's and its earlier completion.

@@ -28,8 +28,8 @@
 //! [`SpanKind::Handoff`] markers for every exchange edge; the metrics
 //! registry gains `handoffs`, `super_steps` and `shard_shed` counters; and
 //! [`ShardedPool::report`] emits the same [`FleetReport`] the chaos
-//! harness golden-pins for the replicated tier, with the shard-specific
-//! counters filled in.
+//! harness golden-pins for the replicated tier, its shedding, hand-off and
+//! super-step counters read from that registry.
 
 use crate::error::ServeError;
 use crate::health::{BreakerConfig, CircuitBreaker};
@@ -39,7 +39,7 @@ use crate::trace::{Obs, Span, SpanKind, Tracer};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_core::session::SessionQuery;
 use nextdoor_core::sharded::{ShardedFusedResult, ShardedSampler};
-use nextdoor_core::{validate_run, FaultReport, NextDoorError, SampleStore};
+use nextdoor_core::{validate_run, NextDoorError, SampleStore};
 use nextdoor_gpu::{FaultPlan, GpuSpec};
 use nextdoor_graph::{Csr, PartitionStats};
 
@@ -90,16 +90,13 @@ pub struct ShardedPool {
     sampler: ShardedSampler,
     breakers: Vec<CircuitBreaker>,
     obs: Obs,
+    /// Dispatch calls, including those whose every query was shed (which
+    /// `sim.batches` does not count).
     batches: u64,
     requests: u64,
-    shed: u64,
-    handoffs: u64,
-    handoff_bytes: u64,
-    super_steps: u64,
     walkers_lost: u64,
-    shard_dispatches: Vec<u64>,
-    shard_failures: Vec<u64>,
-    shard_faults: Vec<FaultReport>,
+    /// Per-shard dispatches, failures and absorbed faults.
+    shard_stats: Vec<ReplicaStats>,
 }
 
 impl ShardedPool {
@@ -125,14 +122,8 @@ impl ShardedPool {
             obs: Obs::default(),
             batches: 0,
             requests: 0,
-            shed: 0,
-            handoffs: 0,
-            handoff_bytes: 0,
-            super_steps: 0,
             walkers_lost: 0,
-            shard_dispatches: vec![0; n],
-            shard_failures: vec![0; n],
-            shard_faults: vec![FaultReport::default(); n],
+            shard_stats: vec![ReplicaStats::default(); n],
         })
     }
 
@@ -224,7 +215,6 @@ impl ShardedPool {
             let home = self.sampler.home_shard(&q.init[0]);
             if self.sampler.shard_lost(home) || self.breakers[home].is_dead() {
                 self.breakers[home].kill();
-                self.shed += 1;
                 self.obs.metrics.sim.shard_shed += 1;
                 self.obs.trace.push(
                     Span::instant(SpanKind::OverloadShed, start_ms)
@@ -238,7 +228,6 @@ impl ShardedPool {
                 continue;
             }
             if !self.breakers[home].available(start_ms) {
-                self.shed += 1;
                 self.obs.metrics.sim.overload_shed += 1;
                 self.obs.trace.push(
                     Span::instant(SpanKind::OverloadShed, start_ms)
@@ -267,9 +256,6 @@ impl ShardedPool {
             let fused = self.sampler.query_fused(&batch_queries)?;
             handoffs = fused.handoffs;
             walkers_lost = fused.walkers_lost;
-            self.handoffs += handoffs;
-            self.handoff_bytes += fused.handoff_bytes;
-            self.super_steps += fused.super_steps.len() as u64;
             self.walkers_lost += walkers_lost;
             self.record_batch(batch, start_ms, &fused, admitted.len());
 
@@ -278,10 +264,10 @@ impl ShardedPool {
             // failure; a clean live shard records a success.
             let now = self.fleet_ms();
             for (s, was_dead) in before_dead.iter().enumerate() {
-                self.shard_faults[s].merge(&fused.shard_reports[s]);
+                self.shard_stats[s].faults.merge(&fused.shard_reports[s]);
                 if self.sampler.shard_lost(s) {
                     if !was_dead {
-                        self.shard_failures[s] += 1;
+                        self.shard_stats[s].failures += 1;
                     }
                     self.breakers[s].kill();
                 } else if !fused.shard_reports[s].is_clean() {
@@ -351,7 +337,7 @@ impl ShardedPool {
                 if mark.shard_pairs[s] == 0 && ms == 0.0 {
                     continue;
                 }
-                self.shard_dispatches[s] += 1;
+                self.shard_stats[s].dispatches += 1;
                 self.obs.trace.push(
                     Span::new(SpanKind::SuperStep, cursor, cursor + ms)
                         .batch(batch)
@@ -374,38 +360,25 @@ impl ShardedPool {
         }
     }
 
-    /// The fleet report: per-shard stats in [`ReplicaStats`] form plus the
-    /// shard-specific counters, in the same shape the replicated tier's
-    /// chaos harness golden-pins.
+    /// The fleet report: per-shard stats in [`ReplicaStats`] form, with
+    /// shedding, hand-offs and super-steps read from the metrics registry,
+    /// in the same shape the replicated tier's chaos harness golden-pins.
     pub fn report(&self) -> FleetReport {
-        let now = self.fleet_ms();
-        FleetReport {
-            replicas: (0..self.num_shards())
-                .map(|s| ReplicaStats {
-                    dispatches: self.shard_dispatches[s],
-                    failures: self.shard_failures[s],
-                    hedges: 0,
-                    trips: self.breakers[s].trips,
-                    probes: self.breakers[s].probes,
-                    recoveries: self.breakers[s].recoveries,
-                    lost: self.sampler.shard_lost(s),
-                    faults: self.shard_faults[s].clone(),
-                })
-                .collect(),
-            batches: self.batches,
-            requests: self.requests,
-            retries: 0,
-            hedges: 0,
-            hedge_wins: 0,
-            shed: self.shed,
-            cooldown_waits: 0,
-            degraded_intervals: Vec::new(),
-            handoffs: self.handoffs,
-            handoff_bytes: self.handoff_bytes,
-            super_steps: self.super_steps,
-            walkers_lost: self.walkers_lost,
-            fleet_ms: now,
-        }
+        let replicas = self
+            .shard_stats
+            .iter()
+            .zip(&self.breakers)
+            .enumerate()
+            .map(|(s, (stats, breaker))| stats.with_health(breaker, self.sampler.shard_lost(s)))
+            .collect();
+        FleetReport::from_metrics(
+            &self.obs.metrics.sim,
+            replicas,
+            self.batches,
+            self.requests,
+            self.walkers_lost,
+            self.fleet_ms(),
+        )
     }
 }
 

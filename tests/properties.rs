@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use nextdoor::apps::{DeepWalk, KHop};
 use nextdoor::core::engine::unique::dedup_values;
 use nextdoor::core::session::SamplerSession;
-use nextdoor::core::{run_cpu, run_nextdoor, SamplingApp, NULL_VERTEX};
+use nextdoor::core::{run_cpu, run_nextdoor, ProfileSummary, SamplingApp, NULL_VERTEX};
 use nextdoor::gpu::algorithms::{compact, exclusive_scan, histogram, radix_sort_pairs};
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor::graph::gen::{rmat, RmatParams};
@@ -281,5 +281,41 @@ proptest! {
             expect.dedup();
             prop_assert_eq!(live, expect);
         }
+    }
+}
+
+/// Tokens of the kernel-report grammar `from_kernel_report_json` scans for.
+const REPORT_TOKENS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    ",",
+    ":",
+    "\"",
+    " ",
+    "\"kernels\"",
+    "{\"name\"",
+    ":\"nextdoor_grid\"",
+    "\"ms\"",
+    "\"avg_occupancy\"",
+    "\"multiprocessor_activity\"",
+    "0.25",
+    "-1e3",
+    "7",
+    "\u{e9}",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Profile JSON is a public input: any string of report tokens parses
+    /// or fails typed, never panics.
+    #[test]
+    fn kernel_report_parser_returns_on_any_token_string(
+        picks in proptest::collection::vec(0usize..REPORT_TOKENS.len(), 0..40)
+    ) {
+        let json: String = picks.iter().map(|&i| REPORT_TOKENS[i]).collect();
+        let _ = ProfileSummary::from_kernel_report_json(&json);
     }
 }

@@ -12,17 +12,21 @@
 //!   the super-step marks, the serving-tier `Handoff` spans, the metrics
 //!   registry and the `FleetReport` — the four views agree to the walker;
 //! * **typed degradation**: queries homed on a lost shard are shed with
-//!   `ServeError::ShardLost` while survivors keep serving.
+//!   `ServeError::ShardLost` while survivors keep serving, and ones homed
+//!   on a shard whose breaker is open with `ServeError::Overloaded`;
+//! * **typed rejection**: an app a shard cannot run bit-identically is
+//!   refused at construction with `NextDoorError::ShardUnsupported`.
 
 use proptest::prelude::*;
 
-use nextdoor::apps::{DeepWalk, KHop};
+use nextdoor::apps::{DeepWalk, KHop, Layer, Node2Vec};
+use nextdoor::core::api::{NextCtx, Steps};
 use nextdoor::core::session::SessionQuery;
 use nextdoor::core::{run_nextdoor, NextDoorError, SampleStore, SamplingApp, ShardedSampler};
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor::graph::gen::{rmat, RmatParams};
 use nextdoor::graph::{Csr, GraphBuilder, VertexId};
-use nextdoor::serve::{ServeError, ShardPoolConfig, ShardedPool, SpanKind};
+use nextdoor::serve::{BreakerConfig, ServeError, ShardPoolConfig, ShardedPool, SpanKind};
 
 /// Everything a query observes of its own samples.
 fn digest(store: &SampleStore) -> String {
@@ -314,6 +318,123 @@ fn handoffs_agree_across_marks_spans_metrics_and_report() {
         pool.trace().count(SpanKind::Handoff) + pool.trace().count(SpanKind::SuperStep) > 0,
         "the trace carries super-step and hand-off spans"
     );
+}
+
+/// A one-step walk that asks for unique neighbours per step.
+struct UniqueWalk;
+
+impl SamplingApp for UniqueWalk {
+    fn name(&self) -> &'static str {
+        "unique-walk"
+    }
+    fn steps(&self) -> Steps {
+        Steps::Fixed(1)
+    }
+    fn sample_size(&self, _step: usize) -> usize {
+        2
+    }
+    fn unique(&self, _step: usize) -> bool {
+        true
+    }
+    fn next(&self, ctx: &mut NextCtx<'_>) -> Option<u32> {
+        let d = ctx.num_edges();
+        if d == 0 {
+            return None;
+        }
+        let i = ctx.rand_range(d);
+        Some(ctx.src_edge(i))
+    }
+}
+
+type MakeApp = fn() -> Box<dyn SamplingApp + Send>;
+
+#[test]
+fn apps_a_shard_cannot_run_are_rejected_typed_at_construction() {
+    let graph = rmat(8, 2000, RmatParams::SKEWED, 3);
+    let cases: [(&str, MakeApp); 3] = [
+        ("collective", || Box::new(Layer::new(4, 8))),
+        ("per-step unique", || Box::new(UniqueWalk)),
+        ("reads other rows", || Box::new(Node2Vec::new(10, 2.0, 0.5))),
+    ];
+    for (case, app) in cases {
+        let sampler = ShardedSampler::new(GpuSpec::small(), graph.clone(), app(), 2, 7);
+        assert!(
+            matches!(sampler.err(), Some(NextDoorError::ShardUnsupported { .. })),
+            "{case}: ShardedSampler::new must reject"
+        );
+        let pool = ShardedPool::new(
+            GpuSpec::small(),
+            graph.clone(),
+            app(),
+            ShardPoolConfig::default(),
+        );
+        assert!(
+            matches!(pool.err(), Some(NextDoorError::ShardUnsupported { .. })),
+            "{case}: ShardedPool::new must reject"
+        );
+    }
+}
+
+#[test]
+fn open_shard_breaker_sheds_overloaded_then_probes_and_recovers() {
+    let graph = rmat(8, 2000, RmatParams::SKEWED, 3);
+    let mut pool = ShardedPool::new(
+        GpuSpec::small(),
+        graph,
+        Box::new(DeepWalk::new(5)),
+        ShardPoolConfig {
+            num_shards: 3,
+            breaker: BreakerConfig {
+                trip_after: 2,
+                cooldown_ms: 0.5,
+            },
+            ..ShardPoolConfig::default()
+        },
+    )
+    .unwrap();
+    let homed_on = |pool: &ShardedPool, shard: usize| {
+        (0..256u32)
+            .find(|&v| pool.sampler().owner_of(v) == shard)
+            .expect("every shard owns vertices")
+    };
+    let seed_on_1 = homed_on(&pool, 1);
+    let seed_on_0 = homed_on(&pool, 0);
+    let query = |root: VertexId, seed: u64| SessionQuery {
+        init: vec![vec![root]; 4],
+        seed,
+    };
+
+    // Two consecutive dispatches whose shard-1 slice faults trip it.
+    for seed in [1, 2] {
+        pool.schedule_faults(1, FaultPlan::new().transient_at_launch(0));
+        let d = pool.dispatch(&[query(seed_on_1, seed)]).unwrap();
+        assert!(d.results[0].is_ok(), "a retried fault still serves");
+    }
+    let reopen = pool.breaker(1).reopen_at().expect("shard 1 tripped open");
+
+    // While it cools down, a query homed there is shed typed.
+    let d = pool.dispatch(&[query(seed_on_1, 3)]).unwrap();
+    assert_eq!(
+        d.results[0].as_ref().err(),
+        Some(&ServeError::Overloaded {
+            healthy: 2,
+            replicas: 3
+        })
+    );
+    assert_eq!(pool.metrics().sim.overload_shed, 1);
+    assert_eq!(pool.report().shed, 1);
+
+    // Traffic homed elsewhere moves the fleet clock past the reopen
+    // instant; the next shard-1 query is the half-open probe.
+    let mut seed = 10;
+    while pool.fleet_ms() < reopen {
+        pool.dispatch(&[query(seed_on_0, seed)]).unwrap();
+        seed += 1;
+    }
+    let d = pool.dispatch(&[query(seed_on_1, seed)]).unwrap();
+    assert!(d.results[0].is_ok(), "the probe is served");
+    let shard1 = &pool.report().replicas[1];
+    assert_eq!((shard1.trips, shard1.probes, shard1.recoveries), (1, 1, 1));
 }
 
 #[test]
