@@ -9,15 +9,14 @@
 //!    with [`SamplerSession::enable_autotune`] +
 //!    [`SamplerSession::enable_hot_cache`]. Every query's samples must be
 //!    bit-identical across the two sessions — tuning moves launch geometry
-//!    and cost only — and the autotuned stream's total simulated cost must
-//!    not exceed the default stream's (the "autotuned ≥ default"
-//!    throughput gate).
+//!    and cost only — and the autotuned stream's simulated cost must not
+//!    exceed the default stream's, for every app and for the whole suite
+//!    (the "autotuned ≥ default" throughput gate).
 //! 2. **Warm cached leg** — the `serve_bench` warm-per-request workload
 //!    (walk(10) on PPI, 64 requests) served by a tuned session, wall-clock
 //!    timed, and compared against the committed `warm_per_request` numbers
-//!    in `BENCH_serve.json`: with the cache keeping hot transits resident
-//!    across queries, the warm path must come in below the committed
-//!    untuned total.
+//!    in `BENCH_serve.json`: with the tuned plan and the hot-transit
+//!    cache, the warm path must come in below the committed untuned total.
 //!
 //! Results are spliced into the `"tune"` section of `BENCH_serve.json`
 //! (same convention as `chaos_bench` / `load_bench` / `shard_bench`).
@@ -164,6 +163,13 @@ fn main() {
                 r.plan_updates.to_string(),
             ],
         );
+        assert!(
+            r.tuned_ms <= r.default_ms,
+            "{}: autotuned cost {:.3}ms exceeds default {:.3}ms — the never-worse gate failed",
+            r.name,
+            r.tuned_ms,
+            r.default_ms
+        );
         results.push(r);
     }
     let default_total: f64 = results.iter().map(|r| r.default_ms).sum();
@@ -203,9 +209,9 @@ fn main() {
     let (tuner, cache) = tuning_configs();
     warm.enable_autotune(tuner);
     warm.enable_hot_cache(cache);
-    // Epoch 0 warms the tuner, the transit arena and the scheduling-index
-    // memo — a training loop replays the same mini-batch stream every
-    // epoch, and the committed warm numbers are per-epoch. Bit-identity is
+    // Epoch 0 warms the tuner and the transit arena — a training loop
+    // replays the same mini-batch stream every epoch, and the committed
+    // warm numbers are per-epoch. Bit-identity is
     // checked against an untuned session on the way.
     let mut plain = SamplerSession::new(cfg.gpu.clone(), g.clone(), Box::new(Walk(10)))
         .expect("bench graph fits on the device");

@@ -45,7 +45,7 @@ use crate::error::{FaultReport, NextDoorError};
 use crate::gpu_graph::GpuGraph;
 use crate::large_graph::GraphPartitions;
 use crate::store::SampleStore;
-use crate::tuning::{HotTransitCache, KernelTuning, TuningPlan};
+use crate::tuning::{predict_step_cycles, HotTransitCache, KernelTuning, StepEngine, TuningPlan};
 use nextdoor_gpu::{DeviceBuffer, Gpu, OutOfMemory};
 use nextdoor_graph::{Csr, VertexId};
 
@@ -86,9 +86,10 @@ pub(crate) fn live_pairs(plan: &StepPlan, num_samples: usize) -> Vec<(VertexId, 
 /// `tuning` supplies the session's [`TuningPlan`] (the default plan
 /// reproduces the untuned engine byte-identically) and `cache` the
 /// session's [`HotTransitCache`], if any: the NextDoor engine consults it
-/// for memoised scheduling indices and resident adjacency slices, and
-/// feeds its transit frequencies. Samples are identical either way — the
-/// knobs move cost, never RNG draws.
+/// for resident adjacency slices and feeds its transit frequencies. Under
+/// [`StepEngine::Auto`] the NextDoor engine runs the sample-parallel kernel
+/// for the individual steps [`sample_parallel_is_cheaper`] picks. Samples
+/// are identical either way — the knobs move cost, never RNG draws.
 ///
 /// # Errors
 ///
@@ -108,29 +109,21 @@ pub(crate) fn exec_step(
     let mut sched_cycles = 0.0;
     match ex.app.sampling_type() {
         SamplingType::Individual => match kind {
+            GpuEngineKind::NextDoor
+                if tuning.step_engine == StepEngine::Auto
+                    && sample_parallel_is_cheaper(gpu, ex, tuning.tight_key_range) =>
+            {
+                if let Some(c) = cache.as_deref_mut() {
+                    c.note_index_skipped();
+                }
+                run_sample_parallel_kernel(gpu, ex, transit_buf, out);
+            }
             GpuEngineKind::NextDoor => {
                 let (sub_warp, max_block) = (tuning.sub_warp_threshold, tuning.max_block_threads);
                 let c0 = gpu.counters().cycles;
-                let memo = cache
-                    .as_deref_mut()
-                    .and_then(|c| c.lookup_sched(pairs, plan.m, sub_warp, max_block));
-                let (index, classes) = match memo {
-                    Some(hit) => hit,
-                    None => {
-                        let index = build_scheduling_index(
-                            gpu,
-                            pairs,
-                            ex.graph.num_vertices(),
-                            tuning.tight_key_range,
-                        )?;
-                        let classes =
-                            partition_kernel_classes(gpu, &index, plan.m, sub_warp, max_block)?;
-                        if let Some(c) = cache.as_deref_mut() {
-                            c.store_sched(pairs, plan.m, sub_warp, max_block, &index, &classes);
-                        }
-                        (index, classes)
-                    }
-                };
+                let nv = ex.graph.num_vertices();
+                let index = build_scheduling_index(gpu, pairs, nv, tuning.tight_key_range)?;
+                let classes = partition_kernel_classes(gpu, &index, plan.m, sub_warp, max_block)?;
                 if let Some(c) = cache.as_deref_mut() {
                     c.note_index(&index);
                 }
@@ -188,6 +181,28 @@ pub(crate) fn exec_step(
         }
     }
     Ok(sched_cycles)
+}
+
+/// The per-step choice of [`StepEngine::Auto`]: whether
+/// [`predict_step_cycles`] predicts the sample-parallel kernel cheaper than
+/// the scheduling index plus the three kernel classes. Only a step this
+/// device runs whole qualifies: the sample-parallel kernel covers every
+/// transit slot, so a shard's owned slice stays on the index.
+fn sample_parallel_is_cheaper(gpu: &Gpu, ex: &StepExec<'_>, tight_key_range: bool) -> bool {
+    if ex.pairs.len() != ex.plan.live {
+        return false;
+    }
+    let mut transits: Vec<VertexId> = ex.pairs.iter().map(|&(t, _)| t).collect();
+    transits.sort_unstable();
+    transits.dedup();
+    let max_key = match transits.last() {
+        Some(&t) if tight_key_range => t,
+        _ => (ex.graph.num_vertices() - 1) as u32,
+    };
+    let (slots, m, distinct) = (ex.plan.transits.len(), ex.plan.m, transits.len());
+    let (nextdoor, sp) =
+        predict_step_cycles(gpu.spec(), ex.pairs.len(), slots, m, distinct, max_key);
+    sp < nextdoor
 }
 
 /// Classifies a fallible device allocation: `Ok(Some(_))` succeeded,

@@ -273,9 +273,8 @@ impl SamplerSession {
 
     /// Enables the cross-query [`HotTransitCache`]: frequently-hit
     /// transits' adjacency slices stay resident on the device between
-    /// queries (their kernels skip the preload traffic), and repeated
-    /// steps' scheduling indices are memoised. Maintenance runs at query
-    /// boundaries; samples are unaffected.
+    /// queries, so their kernels skip the preload traffic. Maintenance runs
+    /// at query boundaries; samples are unaffected.
     pub fn enable_hot_cache(&mut self, cfg: CacheConfig) {
         self.cache = Some(HotTransitCache::new(cfg));
     }

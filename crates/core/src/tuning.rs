@@ -10,20 +10,22 @@
 //! over one graph can do better: an [`AutoTuner`] consumes the
 //! [`RunProfile`]s of a session's first queries and derives a per-workload
 //! [`TuningPlan`], which the engine's planner and launch path honor on
-//! subsequent queries. A [`HotTransitCache`] additionally keeps the
-//! adjacency slices and scheduling indices of frequently-hit transits
-//! resident across queries, so the warm path skips the preload traffic and
-//! index rebuilds it would otherwise repeat every query.
+//! subsequent queries. A ready plan also runs under [`StepEngine::Auto`],
+//! which sends a step to the sample-parallel kernel whenever
+//! [`predict_step_cycles`] predicts that cheaper than building its
+//! scheduling index. A [`HotTransitCache`] additionally keeps the adjacency
+//! slices of frequently-hit transits resident across queries, so the warm
+//! path skips the preload traffic it would otherwise repeat every query.
 //!
 //! # Determinism
 //!
 //! Tuning never changes samples. Every sampled value is produced by
 //! [`run_next_individual`](crate::engine)'s counter-keyed RNG, addressed by
 //! `(seed, sample, step, slot)` — launch geometry, kernel-class assignment,
-//! preload depth and cache hits only change *where* and *at what cost* a
-//! lane runs, never which draws it makes. The plan itself is derived only
-//! at query boundaries from completed profiles, so no mid-query state ever
-//! feeds back into the run that produced it. `tests/tuning.rs` proptests
+//! the step engine, preload depth and cache hits only change *where* and
+//! *at what cost* a lane runs, never which draws it makes. The plan itself
+//! is derived only at query boundaries from completed profiles, so no
+//! mid-query state ever feeds back into the run that produced it. `tests/tuning.rs` proptests
 //! bit-identity against arbitrary valid plans and `tests/determinism.rs`
 //! golden-pins a tuned session at every host thread count. See `TUNING.md`
 //! for the full knob inventory and the signal→knob mapping.
@@ -40,8 +42,9 @@
 //! ```
 
 use crate::engine::profile::{KernelPhase, RunProfile};
-use crate::engine::scheduling::{KernelClasses, SchedulingIndex};
+use crate::engine::scheduling::SchedulingIndex;
 use crate::gpu_graph::GpuGraph;
+use nextdoor_gpu::algorithms::{radix_passes, radix_sort_launches, scan_launches};
 use nextdoor_gpu::{DeviceBuffer, Gpu, GpuSpec, LaunchConfig, WARP_SIZE};
 use nextdoor_graph::{Csr, VertexId};
 use std::collections::BTreeMap;
@@ -82,6 +85,9 @@ pub struct TuningPlan {
     /// tighter bound can only shed whole radix passes (the sort is stable
     /// and its output is identical), so this knob is never worse.
     pub tight_key_range: bool,
+    /// Which kernels run an individual-sampling step. Collective steps
+    /// always build the scheduling index.
+    pub step_engine: StepEngine,
 }
 
 impl Default for TuningPlan {
@@ -92,6 +98,7 @@ impl Default for TuningPlan {
             block_dim: 1024,
             preload_factor: 4,
             tight_key_range: false,
+            step_engine: StepEngine::NextDoor,
         }
     }
 }
@@ -103,13 +110,14 @@ impl TuningPlan {
     /// one launch block, or lanes would silently go unserved).
     ///
     /// ```
-    /// use nextdoor_core::tuning::TuningPlan;
+    /// use nextdoor_core::tuning::{StepEngine, TuningPlan};
     /// let wild = TuningPlan {
     ///     sub_warp_threshold: 1000,
     ///     max_block_threads: 4096,
     ///     block_dim: 100,
     ///     preload_factor: 1 << 20,
     ///     tight_key_range: true,
+    ///     step_engine: StepEngine::Auto,
     /// };
     /// let p = wild.normalized();
     /// assert!(p.sub_warp_threshold <= 32);
@@ -133,6 +141,64 @@ impl TuningPlan {
     }
 }
 
+/// The step engine of a [`TuningPlan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepEngine {
+    /// Every step builds the scheduling index and runs the three kernel
+    /// classes: the paper's engine.
+    NextDoor,
+    /// Each step runs the NextDoor path or the sample-parallel kernel,
+    /// whichever [`predict_step_cycles`] predicts cheaper. Small steps and
+    /// steps whose pairs share few transits skip the index.
+    Auto,
+}
+
+/// Predicted cycles of one individual-sampling step, as
+/// `(nextdoor, sample_parallel)`: the step's `live` pairs out of `slots`
+/// transit slots, `m` lanes per pair, `distinct` live transits and the
+/// radix-sort key bound `max_key`.
+///
+/// The prediction is a deterministic function of these host-known counts
+/// and the device's SM count and cost model, never of measured time, so
+/// the choice it drives is the same at every host thread count. It has
+/// three terms, each a crude fit of the simulator's charges:
+///
+/// - **Launches.** NextDoor pays the index's sort, scan, compact and
+///   partition launches plus one sampling launch; the sample-parallel
+///   kernel is one launch. Each launch costs its overhead plus one
+///   latency-bound block.
+/// - **Pair traffic.** NextDoor moves each live pair through `passes + 2`
+///   coalesced sectors and preloads about six sectors per distinct
+///   transit. The sample-parallel kernel reads the transit slots
+///   coalesced (8 per sector) and one scattered sector per live pair.
+/// - **Lane traffic.** A NextDoor lane reads its transit's adjacency from
+///   shared memory; a sample-parallel lane reads one scattered sector.
+pub fn predict_step_cycles(
+    spec: &GpuSpec,
+    live: usize,
+    slots: usize,
+    m: usize,
+    distinct: usize,
+    max_key: u32,
+) -> (f64, f64) {
+    let c = &spec.cost;
+    let launch = c.launch_overhead + 2.0 * c.block_overhead + c.global_latency / 2.0;
+    let sms = spec.num_sms as f64;
+    let (live_f, lanes) = (live as f64, (live * m) as f64);
+    let passes = radix_passes(max_key);
+    // Sort; segment flags; compact (scan + scatter); partition (classify +
+    // scan).
+    let index_launches =
+        radix_sort_launches(live, max_key) + scan_launches(live) + scan_launches(distinct) + 3;
+    let nextdoor = (index_launches + 1) as f64 * launch
+        + (live_f * (passes + 2) as f64 * c.global_tx_cycles
+            + distinct as f64 * 6.0 * c.global_tx_cycles
+            + lanes * c.shared_cycles / 2.0)
+            / sms;
+    let sample_parallel = launch + (slots as f64 / 8.0 + live_f + lanes) * c.global_tx_cycles / sms;
+    (nextdoor, sample_parallel)
+}
+
 /// The profile signals the tuner accumulates across observed queries:
 /// simulated milliseconds per kernel phase plus the SM-utilisation and
 /// occupancy of the block/grid sampling kernels. Built from in-process
@@ -152,6 +218,9 @@ pub struct ProfileSummary {
     pub block_ms: f64,
     /// Milliseconds in the grid sampling kernel.
     pub grid_ms: f64,
+    /// Milliseconds in the sample-parallel kernel: the steps
+    /// [`StepEngine::Auto`] routed around the scheduling index.
+    pub sample_parallel_ms: f64,
     /// ms-weighted SM busy fraction (0..=1) of the block/grid kernels.
     pub bg_sm_utilization: f64,
     /// ms-weighted achieved occupancy (0..=1) of the block/grid kernels.
@@ -173,6 +242,7 @@ impl ProfileSummary {
                 KernelPhase::SubWarp => self.subwarp_ms += k.ms,
                 KernelPhase::Block => self.block_ms += k.ms,
                 KernelPhase::Grid => self.grid_ms += k.ms,
+                KernelPhase::SampleParallel => self.sample_parallel_ms += k.ms,
                 _ => {}
             }
             if matches!(k.phase, KernelPhase::Block | KernelPhase::Grid) {
@@ -202,22 +272,30 @@ impl ProfileSummary {
         (self.block_ms + self.grid_ms - new_bg_ms).max(0.0)
     }
 
-    /// Fraction of observed time spent building scheduling indices.
-    pub fn scheduling_share(&self) -> f64 {
-        if self.total_ms > 0.0 {
-            self.scheduling_ms / self.total_ms
+    /// Fraction of `ms` in the time of the NextDoor path's own kernels:
+    /// the scheduling index and the three sampling classes. The knobs tune
+    /// that path, and the steps [`StepEngine::Auto`] routes to the
+    /// sample-parallel kernel run none of those kernels, so routing steps
+    /// around the index does not dilute the signals the plan rests on.
+    fn share(&self, ms: f64) -> f64 {
+        let nextdoor_ms = self.scheduling_ms + self.subwarp_ms + self.block_ms + self.grid_ms;
+        if nextdoor_ms > 0.0 {
+            ms / nextdoor_ms
         } else {
             0.0
         }
     }
 
-    /// Fraction of observed time in the block/grid sampling kernels.
+    /// Fraction of the NextDoor path's time spent building scheduling
+    /// indices.
+    pub fn scheduling_share(&self) -> f64 {
+        self.share(self.scheduling_ms)
+    }
+
+    /// Fraction of the NextDoor path's time in the block/grid sampling
+    /// kernels.
     pub fn block_grid_share(&self) -> f64 {
-        if self.total_ms > 0.0 {
-            (self.block_ms + self.grid_ms) / self.total_ms
-        } else {
-            0.0
-        }
+        self.share(self.block_ms + self.grid_ms)
     }
 
     /// Parses a `results/profile_<label>.json` file written by
@@ -259,6 +337,7 @@ impl ProfileSummary {
                 KernelPhase::SubWarp => s.subwarp_ms += ms,
                 KernelPhase::Block => s.block_ms += ms,
                 KernelPhase::Grid => s.grid_ms += ms,
+                KernelPhase::SampleParallel => s.sample_parallel_ms += ms,
                 _ => {}
             }
             if matches!(phase, KernelPhase::Block | KernelPhase::Grid) {
@@ -305,15 +384,15 @@ pub struct TunerConfig {
     /// Queries to observe before the derived plan leaves the baseline
     /// ([`AutoTuner::ready`]).
     pub warmup_queries: u64,
-    /// Minimum scheduling share of total time before the tight key-range
-    /// knob engages (it is never worse, but below this share it cannot
-    /// matter either).
+    /// Minimum [`ProfileSummary::scheduling_share`] before the tight
+    /// key-range knob engages (it is never worse, but below this share it
+    /// cannot matter either).
     pub min_scheduling_share: f64,
     /// SM busy fraction of the block/grid kernels below which the tuner
     /// considers them imbalanced (a few huge transits hogging few SMs).
     pub low_sm_utilization: f64,
-    /// Block/grid share of total time below which the tuner leaves the
-    /// block geometry alone regardless of utilisation.
+    /// [`ProfileSummary::block_grid_share`] below which the tuner leaves
+    /// the block geometry alone regardless of utilisation.
     pub min_block_grid_share: f64,
 }
 
@@ -379,6 +458,7 @@ impl AutoTuner {
             subwarp_ms: self.summary.subwarp_ms + s.subwarp_ms,
             block_ms: self.summary.block_ms + s.block_ms,
             grid_ms: self.summary.grid_ms + s.grid_ms,
+            sample_parallel_ms: self.summary.sample_parallel_ms + s.sample_parallel_ms,
             bg_sm_utilization: s.bg_sm_utilization,
             bg_occupancy: s.bg_occupancy,
             runs: self.summary.runs + s.runs,
@@ -410,6 +490,9 @@ impl AutoTuner {
             return plan;
         }
         let s = &self.summary;
+        // The Auto engine needs no profile signal: its per-step prediction
+        // is its own guard.
+        plan.step_engine = StepEngine::Auto;
         // Tight key range: sheds whole radix passes with identical output,
         // so engage whenever scheduling time is visible at all.
         if s.scheduling_share() >= self.cfg.min_scheduling_share {
@@ -440,11 +523,6 @@ pub struct CacheConfig {
     pub min_hits: u64,
     /// Maximum resident transits, regardless of their sizes.
     pub max_entries: usize,
-    /// Total live pairs the scheduling-index memo may retain across all
-    /// of its entries; once the budget is spent, further steps are
-    /// rebuilt every query (first-stored entries are kept — in serving
-    /// traffic those are the recurring ones).
-    pub memo_max_pairs: usize,
 }
 
 impl Default for CacheConfig {
@@ -453,7 +531,6 @@ impl Default for CacheConfig {
             max_words: 1 << 16,
             min_hits: 3,
             max_entries: 512,
-            memo_max_pairs: 1 << 16,
         }
     }
 }
@@ -475,8 +552,9 @@ pub struct CacheStats {
     /// Maintenance passes that found no device memory for the arena and
     /// fell back to the uncached path (samples are unaffected).
     pub pressure_fallbacks: u64,
-    /// Steps whose scheduling index was reused from the memo (the sort /
-    /// scan / compact / partition launches were skipped entirely).
+    /// Steps that skipped the scheduling index's sort / scan / compact /
+    /// partition launches entirely: the steps [`StepEngine::Auto`] routed
+    /// to the sample-parallel kernel.
     pub sched_reuses: u64,
     /// Steps whose scheduling index was built on the device.
     pub sched_builds: u64,
@@ -494,50 +572,13 @@ impl CacheStats {
     }
 }
 
-/// One memoised scheduling index: valid only for an identical live-pair
-/// set under identical class thresholds. Keyed by content hash, so a
-/// request stream that replays earlier queries (every epoch of a training
-/// loop resubmits the same mini-batches) reuses its indices no matter how
-/// the repeats interleave.
-#[derive(Debug, Clone)]
-struct SchedMemo {
-    pairs: Vec<(VertexId, u32)>,
-    m: usize,
-    sub_warp: usize,
-    max_block: usize,
-    index: SchedulingIndex,
-    classes: KernelClasses,
-}
-
-/// FNV-1a over the memo identity; collisions are disambiguated by the
-/// exact-match check in [`HotTransitCache::lookup_sched`].
-fn memo_key(pairs: &[(VertexId, u32)], m: usize, sub_warp: usize, max_block: usize) -> u64 {
-    const PRIME: u64 = 0x100000001b3;
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in [
-        m as u64,
-        sub_warp as u64,
-        max_block as u64,
-        pairs.len() as u64,
-    ] {
-        h = (h ^ v).wrapping_mul(PRIME);
-    }
-    for &(t, s) in pairs {
-        h = (h ^ ((u64::from(t) << 32) | u64::from(s))).wrapping_mul(PRIME);
-    }
-    h
-}
-
 /// Cross-query residency for frequently-hit transits.
 ///
 /// The engine's §6 caches (registers, shared memory) live and die with one
 /// kernel launch; a session answering repeated traffic re-loads the same
 /// hub adjacencies every query. This cache keeps the hottest transits'
-/// adjacency slices in a device arena across queries — kernels that find
-/// their transit resident skip the global preload loads — and memoises
-/// per-step scheduling indices so a query whose live pairs repeat an
-/// earlier query's (every epoch of a training loop replays its root set)
-/// skips the sort/scan/compact/partition launches outright.
+/// adjacency slices in a device arena across queries: kernels that find
+/// their transit resident skip the global preload loads.
 ///
 /// Promotion and eviction happen **only at query boundaries**, from
 /// deterministically-accumulated frequency counts, so cache state is a
@@ -553,8 +594,6 @@ pub struct HotTransitCache {
     resident_words: usize,
     arena: Option<DeviceBuffer<u32>>,
     freq: BTreeMap<VertexId, u64>,
-    memo: BTreeMap<u64, SchedMemo>,
-    memo_pairs: usize,
     stats: CacheStats,
 }
 
@@ -587,9 +626,11 @@ impl HotTransitCache {
         self.resident_words
     }
 
-    /// Records one step's transit→samples map: bumps each transit's
-    /// frequency by its pair count and counts residency hits/misses.
+    /// Records one step's freshly built transit→samples map: bumps each
+    /// transit's frequency by its pair count and counts residency
+    /// hits/misses.
     pub(crate) fn note_index(&mut self, index: &SchedulingIndex) {
+        self.stats.sched_builds += 1;
         for seg in &index.segments {
             *self.freq.entry(seg.transit).or_insert(0) += seg.count as u64;
             if self.resident.binary_search(&seg.transit).is_ok() {
@@ -600,53 +641,9 @@ impl HotTransitCache {
         }
     }
 
-    /// Returns the memoised scheduling index for this live-pair set and
-    /// these class thresholds, if one is retained.
-    pub(crate) fn lookup_sched(
-        &mut self,
-        pairs: &[(VertexId, u32)],
-        m: usize,
-        sub_warp: usize,
-        max_block: usize,
-    ) -> Option<(SchedulingIndex, KernelClasses)> {
-        let e = self.memo.get(&memo_key(pairs, m, sub_warp, max_block))?;
-        if e.m == m && e.sub_warp == sub_warp && e.max_block == max_block && e.pairs == pairs {
-            self.stats.sched_reuses += 1;
-            Some((e.index.clone(), e.classes.clone()))
-        } else {
-            None
-        }
-    }
-
-    /// Memoises a freshly-built scheduling index, if the pair budget
-    /// allows.
-    pub(crate) fn store_sched(
-        &mut self,
-        pairs: &[(VertexId, u32)],
-        m: usize,
-        sub_warp: usize,
-        max_block: usize,
-        index: &SchedulingIndex,
-        classes: &KernelClasses,
-    ) {
-        self.stats.sched_builds += 1;
-        let key = memo_key(pairs, m, sub_warp, max_block);
-        let replaced = self.memo.get(&key).map_or(0, |e| e.pairs.len());
-        if self.memo_pairs - replaced + pairs.len() > self.cfg.memo_max_pairs {
-            return;
-        }
-        self.memo_pairs = self.memo_pairs - replaced + pairs.len();
-        self.memo.insert(
-            key,
-            SchedMemo {
-                pairs: pairs.to_vec(),
-                m,
-                sub_warp,
-                max_block,
-                index: index.clone(),
-                classes: classes.clone(),
-            },
-        );
+    /// Records one step that ran without a scheduling index.
+    pub(crate) fn note_index_skipped(&mut self) {
+        self.stats.sched_reuses += 1;
     }
 
     /// Query-boundary maintenance: promotes the hottest transits into the
@@ -821,12 +818,14 @@ mod tests {
             block_dim: 33,
             preload_factor: usize::MAX,
             tight_key_range: false,
+            step_engine: StepEngine::Auto,
         }
         .normalized();
         assert_eq!(p.sub_warp_threshold, 1);
         assert_eq!(p.block_dim, 32);
         assert_eq!(p.max_block_threads, 32);
         assert_eq!(p.preload_factor, 64);
+        assert_eq!(p.step_engine, StepEngine::Auto, "every engine is valid");
     }
 
     #[test]
@@ -848,6 +847,37 @@ mod tests {
         let p = t.plan(&spec);
         assert!(p.tight_key_range, "half the time is scheduling");
         assert_eq!(p.block_dim, 1024, "no block/grid evidence");
+        assert_eq!(p.step_engine, StepEngine::Auto, "a ready plan runs Auto");
+    }
+
+    #[test]
+    fn sample_parallel_time_does_not_dilute_the_knob_shares() {
+        // Steps routed around the index are no evidence about it: adding
+        // their sample-parallel and transit time leaves both shares where
+        // they were, so an Auto session does not drift back to the
+        // baseline knobs however many such steps it runs.
+        let nextdoor_only = ProfileSummary {
+            total_ms: 10.0,
+            scheduling_ms: 4.0,
+            grid_ms: 5.0,
+            runs: 1,
+            ..ProfileSummary::default()
+        };
+        let with_sp = ProfileSummary {
+            total_ms: 1510.0,
+            sample_parallel_ms: 1000.0,
+            ..nextdoor_only
+        };
+        assert_eq!(with_sp.scheduling_share(), nextdoor_only.scheduling_share());
+        assert_eq!(with_sp.block_grid_share(), nextdoor_only.block_grid_share());
+        let mut t = AutoTuner::new(TunerConfig {
+            warmup_queries: 1,
+            ..TunerConfig::default()
+        });
+        t.observe_summary(&nextdoor_only);
+        t.observe_summary(&with_sp);
+        assert!((t.summary().sample_parallel_ms - 1000.0).abs() < 1e-9);
+        assert!(t.plan(&GpuSpec::small()).tight_key_range);
     }
 
     #[test]
@@ -877,12 +907,15 @@ mod tests {
   "device": {"num_sms": 8, "clock_ghz": 1.38},
   "kernels": [
     {"name":"radix_histogram","launches":6,"cycles":1000.000,"ms":0.100000,"avg_occupancy":1.0000,"max_shared_mem_bytes":0,"counters":{"gld_requests":1,"multiprocessor_activity":80.00}},
-    {"name":"nextdoor_grid","launches":2,"cycles":9000.000,"ms":0.900000,"avg_occupancy":0.5000,"max_shared_mem_bytes":4096,"counters":{"gld_requests":9,"multiprocessor_activity":25.00}}
+    {"name":"nextdoor_grid","launches":2,"cycles":9000.000,"ms":0.900000,"avg_occupancy":0.5000,"max_shared_mem_bytes":4096,"counters":{"gld_requests":9,"multiprocessor_activity":25.00}},
+    {"name":"sp_sample","launches":3,"cycles":2000.000,"ms":0.200000,"avg_occupancy":1.0000,"max_shared_mem_bytes":0,"counters":{"gld_requests":5,"multiprocessor_activity":90.00}}
   ],
   "transfers": {"count":0,"htod_bytes":0,"dtoh_bytes":0,"cycles":0.000}
 }"#;
         let s = ProfileSummary::from_kernel_report_json(json).expect("parses");
-        assert!((s.total_ms - 1.0).abs() < 1e-9);
+        assert!((s.total_ms - 1.2).abs() < 1e-9);
+        assert!((s.sample_parallel_ms - 0.2).abs() < 1e-9);
+        assert!((s.scheduling_share() - 0.1).abs() < 1e-9);
         assert!((s.scheduling_ms - 0.1).abs() < 1e-9);
         assert!((s.grid_ms - 0.9).abs() < 1e-9);
         assert!((s.bg_sm_utilization - 0.25).abs() < 1e-9);
@@ -967,30 +1000,107 @@ mod tests {
         assert!(!cache.resident().is_empty());
     }
 
+    /// k-hop sampling with per-step fan-outs, as GraphSAGE runs it.
+    struct KHop(Vec<usize>);
+    impl crate::api::SamplingApp for KHop {
+        fn name(&self) -> &'static str {
+            "k-hop"
+        }
+        fn steps(&self) -> crate::api::Steps {
+            crate::api::Steps::Fixed(self.0.len())
+        }
+        fn sample_size(&self, step: usize) -> usize {
+            self.0[step]
+        }
+        fn next(&self, ctx: &mut crate::api::NextCtx<'_>) -> Option<VertexId> {
+            let d = ctx.num_edges();
+            if d == 0 {
+                return None;
+            }
+            let i = ctx.rand_range(d);
+            Some(ctx.src_edge(i))
+        }
+    }
+
     #[test]
-    fn sched_memo_is_content_keyed_and_budgeted() {
-        let mut cache = HotTransitCache::new(CacheConfig {
-            memo_max_pairs: 4,
-            ..CacheConfig::default()
-        });
-        let index = SchedulingIndex::default();
-        let classes = KernelClasses::default();
-        let a = vec![(1u32, 0u32), (2, 1)];
-        let b = vec![(3u32, 0u32), (4, 1)];
-        cache.store_sched(&a, 2, 32, 1024, &index, &classes);
-        cache.store_sched(&b, 2, 32, 1024, &index, &classes);
-        assert!(cache.lookup_sched(&a, 2, 32, 1024).is_some());
-        assert!(cache.lookup_sched(&b, 2, 32, 1024).is_some());
-        assert!(
-            cache.lookup_sched(&a, 2, 16, 1024).is_none(),
-            "thresholds are part of the identity"
-        );
-        // Budget spent: a third distinct entry is not retained.
-        let c = vec![(5u32, 0u32)];
-        cache.store_sched(&c, 1, 32, 1024, &index, &classes);
-        assert!(cache.lookup_sched(&c, 1, 32, 1024).is_none());
-        assert_eq!(cache.stats().sched_builds, 3);
-        assert_eq!(cache.stats().sched_reuses, 2);
+    fn auto_engine_picks_the_cheaper_kernel_per_step_on_reddit() {
+        use crate::session::SamplerSession;
+        use nextdoor_graph::Dataset;
+        // The serving device: a 4-SM V100 slice with launch overhead 150.
+        let mut spec = GpuSpec::v100();
+        spec.num_sms = 4;
+        spec.cost.launch_overhead = 150.0;
+        let g = Dataset::Reddit.generate(0.005, 42);
+        let nextdoor = TuningPlan {
+            tight_key_range: true,
+            ..TuningPlan::default()
+        };
+        let auto = TuningPlan {
+            step_engine: StepEngine::Auto,
+            ..nextdoor
+        };
+        // Which engine ran each step of an Auto query.
+        let ran_sp = |r: &crate::RunResult| -> Vec<bool> {
+            let phases = |s: &crate::StepProfile| s.kernels.iter().map(|k| k.phase).collect();
+            let steps: Vec<Vec<KernelPhase>> = r.stats.profile.steps.iter().map(phases).collect();
+            for p in &steps {
+                let sp = p.contains(&KernelPhase::SampleParallel);
+                assert_ne!(
+                    sp,
+                    p.contains(&KernelPhase::Scheduling),
+                    "one engine per step"
+                );
+            }
+            steps
+                .iter()
+                .map(|p| p.contains(&KernelPhase::SampleParallel))
+                .collect()
+        };
+        for fanouts in [vec![10, 5], vec![25, 10]] {
+            for samples in [32usize, 256, 2048] {
+                let init = crate::initial_samples_random(&g, samples, 1, 3).expect("non-empty");
+                let run = |plan: TuningPlan| {
+                    let app = Box::new(KHop(fanouts.clone()));
+                    let mut s = SamplerSession::new(spec.clone(), g.clone(), app).expect("fits");
+                    s.set_tuning_plan(plan);
+                    s.query(&init, 11).expect("valid query")
+                };
+                let (nd, au) = (run(nextdoor), run(auto));
+                let case = format!("k-hop {fanouts:?} at {samples} samples");
+                assert_eq!(nd.store.final_samples(), au.store.final_samples(), "{case}");
+                assert!(
+                    au.stats.total_ms <= nd.stats.total_ms,
+                    "{case}: Auto is worse"
+                );
+                let engines = ran_sp(&au);
+                if fanouts == [10, 5] && samples == 32 {
+                    assert_eq!(engines, [true, true], "{case}: small steps skip the index");
+                }
+                if fanouts == [25, 10] && samples == 2048 {
+                    assert!(!engines[1], "{case}: the large second step keeps the index");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn predictions_follow_the_launch_and_traffic_terms() {
+        let spec = GpuSpec::small();
+        // A handful of pairs: the index's dozen launches dominate.
+        let (nd, sp) = predict_step_cycles(&spec, 32, 32, 10, 31, 1023);
+        assert!(sp * 4.0 < nd, "{sp} vs {nd}");
+        // Many lanes over few transits: the index's sharing wins.
+        let (nd, sp) = predict_step_cycles(&spec, 1 << 20, 1 << 20, 16, 64, 1023);
+        assert!(nd < sp, "{nd} vs {sp}");
+        // A tighter key range sheds radix passes and never raises the
+        // NextDoor prediction; more SMs never raise either prediction.
+        let wide = predict_step_cycles(&spec, 5000, 5000, 4, 900, u32::MAX);
+        let tight = predict_step_cycles(&spec, 5000, 5000, 4, 900, 1023);
+        assert!(tight.0 < wide.0 && tight.1 == wide.1);
+        let mut more = spec.clone();
+        more.num_sms *= 2;
+        let fast = predict_step_cycles(&more, 5000, 5000, 4, 900, 1023);
+        assert!(fast.0 < tight.0 && fast.1 < tight.1);
     }
 
     #[test]

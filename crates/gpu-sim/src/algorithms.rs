@@ -25,6 +25,16 @@ use crate::warp::{mask_first_n, SharedArray, WARP_SIZE};
 /// Threads per block used by the device-wide primitives.
 const SCAN_BLOCK: usize = 256;
 
+/// Kernel launches [`exclusive_scan`] issues for `n` elements: one block
+/// scan per recursion level plus one uniform add below the top.
+pub fn scan_launches(n: usize) -> usize {
+    if n <= SCAN_BLOCK {
+        1
+    } else {
+        2 + scan_launches(n.div_ceil(SCAN_BLOCK))
+    }
+}
+
 /// Exclusive prefix sum of `input`; returns the scanned buffer and the
 /// total.
 pub fn exclusive_scan(gpu: &mut Gpu, input: &DeviceBuffer<u32>) -> (DeviceBuffer<u32>, u32) {
@@ -182,9 +192,7 @@ pub fn radix_sort_pairs(
     if n <= 1 {
         return (cur_k, cur_v);
     }
-    let bits = 32 - max_key.leading_zeros().min(31);
-    let passes = (bits as usize).div_ceil(8).max(1);
-    for pass in 0..passes {
+    for pass in 0..radix_passes(max_key) {
         let shift = (pass * 8) as u32;
         let (nk, nv) = radix_pass(gpu, &cur_k, &cur_v, shift);
         cur_k = nk;
@@ -192,6 +200,25 @@ pub fn radix_sort_pairs(
     }
     (cur_k, cur_v)
 }
+
+/// 8-bit digit passes [`radix_sort_pairs`] makes for keys up to `max_key`.
+pub fn radix_passes(max_key: u32) -> usize {
+    let bits = 32 - max_key.leading_zeros().min(31);
+    (bits as usize).div_ceil(8).max(1)
+}
+
+/// Kernel launches [`radix_sort_pairs`] issues for `n` keys up to
+/// `max_key`: per pass a histogram, a scan of the per-tile digit counts
+/// and a scatter.
+pub fn radix_sort_launches(n: usize, max_key: u32) -> usize {
+    if n <= 1 {
+        return 0;
+    }
+    radix_passes(max_key) * (2 + scan_launches(RADIX * n.div_ceil(RADIX_TILE)))
+}
+
+/// Buckets of one 8-bit digit.
+const RADIX: usize = 256;
 
 /// Elements processed per radix block (256 threads × 8 items/thread, as
 /// CUB's `DeviceRadixSort` tiles do).
@@ -207,7 +234,6 @@ fn radix_pass(
     vals: &DeviceBuffer<u32>,
     shift: u32,
 ) -> (DeviceBuffer<u32>, DeviceBuffer<u32>) {
-    const RADIX: usize = 256;
     let n = keys.len();
     let num_blocks = n.div_ceil(RADIX_TILE);
     // `block_hist[digit * num_blocks + block]`: digit-major layout makes the
@@ -567,6 +593,26 @@ mod tests {
         let _ = radix_sort_pairs(&mut g, &keys, &vals, 1 << 20);
         let three_pass_launches = g.counters().launches - before;
         assert!(three_pass_launches > one_pass_launches);
+    }
+
+    #[test]
+    fn launch_counts_match_the_launches_issued() {
+        let mut g = gpu();
+        for n in [1usize, 2, 256, 257, 3000, 70_000] {
+            let input = g.to_device(&vec![1u32; n]);
+            let before = g.counters().launches;
+            let _ = exclusive_scan(&mut g, &input);
+            assert_eq!(g.counters().launches - before, scan_launches(n) as u64);
+            for max_key in [1u32, 200, 1 << 20] {
+                let before = g.counters().launches;
+                let _ = radix_sort_pairs(&mut g, &input, &input, max_key);
+                let issued = g.counters().launches - before;
+                assert_eq!(issued, radix_sort_launches(n, max_key) as u64, "n {n}");
+            }
+        }
+        assert_eq!(radix_passes(255), 1);
+        assert_eq!(radix_passes(256), 2);
+        assert_eq!(radix_passes(0), 1);
     }
 
     #[test]

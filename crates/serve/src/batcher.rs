@@ -902,7 +902,8 @@ mod tests {
     use super::*;
     use crate::metrics::TuningMetrics;
     use nextdoor_apps::KHop;
-    use nextdoor_core::NextDoorError;
+    use nextdoor_core::tuning::TuningPlan;
+    use nextdoor_core::{classify_kernel, KernelPhase, NextDoorError};
     use nextdoor_gpu::GpuSpec;
     use nextdoor_graph::gen::{rmat, RmatParams};
 
@@ -1187,36 +1188,62 @@ mod tests {
 
     #[test]
     fn tuned_batcher_matches_untuned_and_reports_counters() {
+        let cache = CacheConfig {
+            min_hits: 1,
+            ..CacheConfig::default()
+        };
+        // A plan pinned to the NextDoor engine builds an index every step
+        // and so exercises the transit arena.
         let mut tuned = batcher(ServeConfig::default());
-        tuned.enable_tuning(
+        tuned.session_mut().set_tuning_plan(TuningPlan {
+            tight_key_range: true,
+            ..TuningPlan::default()
+        });
+        tuned.session_mut().enable_hot_cache(cache);
+        // The autotuner's ready plan runs the Auto engine.
+        let mut auto = batcher(ServeConfig::default());
+        auto.enable_tuning(
             TunerConfig {
                 warmup_queries: 1,
                 ..TunerConfig::default()
             },
-            CacheConfig {
-                min_hits: 1,
-                ..CacheConfig::default()
-            },
+            cache,
         );
         let mut plain = batcher(ServeConfig::default());
         for round in 0..4u64 {
             for s in 0..3u64 {
                 let seed = 100 + round * 3 + s;
                 tuned.submit(req(1, seed)).unwrap();
+                auto.submit(req(1, seed)).unwrap();
                 plain.submit(req(1, seed)).unwrap();
             }
             let a = tuned.drain();
+            let c = auto.drain();
             let b = plain.drain();
             assert_eq!(a.len(), b.len());
-            for ((_, ra), (_, rb)) in a.into_iter().zip(b) {
+            assert_eq!(c.len(), b.len());
+            for (((_, ra), (_, rb)), (_, rc)) in a.into_iter().zip(b).zip(c) {
                 // The headline invariant: tuning and caching move launch
                 // geometry and cost only — never the samples.
-                assert_eq!(
-                    ra.unwrap().store.final_samples(),
-                    rb.unwrap().store.final_samples()
-                );
+                let want = rb.unwrap().store.final_samples();
+                assert_eq!(ra.unwrap().store.final_samples(), want);
+                assert_eq!(rc.unwrap().store.final_samples(), want);
             }
         }
+        // The Auto engine routed steps to the sample-parallel kernel and
+        // served the same traffic in less simulated time.
+        let sp_cycles: f64 = auto
+            .session()
+            .gpu()
+            .profile()
+            .kernels()
+            .filter(|k| classify_kernel(&k.name) == KernelPhase::SampleParallel)
+            .map(|k| k.cycles)
+            .sum();
+        assert!(sp_cycles > 0.0);
+        assert!(auto.session().sim_ms() < plain.session().sim_ms());
+        assert!(auto.metrics().tuning.sched_reuses > 0);
+        assert_eq!(auto.metrics().tuning.plan_updates, 1);
         let t = tuned.metrics().tuning;
         assert!(t.installs > 0, "repeated transits should be promoted");
         assert!(t.cache_hits + t.cache_misses > 0);

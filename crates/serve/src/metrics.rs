@@ -330,7 +330,9 @@ pub struct TuningMetrics {
     /// Maintenance passes that fell back to the uncached path for lack of
     /// device memory.
     pub pressure_fallbacks: u64,
-    /// Steps whose scheduling index was reused from the session memo.
+    /// Steps that skipped the scheduling index: the steps the
+    /// [`StepEngine::Auto`](nextdoor_core::tuning::StepEngine::Auto) engine
+    /// routed to the sample-parallel kernel.
     pub sched_reuses: u64,
     /// Steps whose scheduling index was built on the device.
     pub sched_builds: u64,

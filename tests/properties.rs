@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use nextdoor::apps::{DeepWalk, KHop};
 use nextdoor::core::engine::unique::dedup_values;
 use nextdoor::core::session::SamplerSession;
+use nextdoor::core::tuning::{StepEngine, TuningPlan};
 use nextdoor::core::{run_cpu, run_nextdoor, ProfileSummary, SamplingApp, NULL_VERTEX};
 use nextdoor::gpu::algorithms::{compact, exclusive_scan, histogram, radix_sort_pairs};
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
@@ -306,8 +307,53 @@ const REPORT_TOKENS: &[&str] = &[
     "\u{e9}",
 ];
 
+/// An arbitrary knob value: the edges of `usize`, the paper's fixed
+/// values, or anything below 2^20.
+fn arb_knob() -> impl Strategy<Value = usize> {
+    (0usize..6, 0usize..1 << 20).prop_map(|(pick, any)| [0, 1, usize::MAX, 32, 1024, any][pick])
+}
+
+/// An arbitrary, possibly invalid, tuning plan as a config file could hold.
+fn arb_raw_plan() -> impl Strategy<Value = TuningPlan> {
+    (
+        (arb_knob(), arb_knob(), arb_knob(), arb_knob()),
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+    )
+        .prop_map(
+            |((sub_warp, max_block, block_dim, preload), tight, auto)| TuningPlan {
+                sub_warp_threshold: sub_warp,
+                max_block_threads: max_block,
+                block_dim,
+                preload_factor: preload,
+                tight_key_range: tight,
+                step_engine: if auto {
+                    StepEngine::Auto
+                } else {
+                    StepEngine::NextDoor
+                },
+            },
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Tuning plans are a public input: `normalized` returns a plan inside
+    /// every knob's range for any field values, never panics, keeps the
+    /// switches as given, and is idempotent.
+    #[test]
+    fn normalized_plans_are_valid_for_any_field_values(raw in arb_raw_plan()) {
+        let p = raw.normalized();
+        prop_assert!((1..=32).contains(&p.sub_warp_threshold));
+        prop_assert!((32..=1024).contains(&p.block_dim) && p.block_dim % 32 == 0);
+        prop_assert!(p.sub_warp_threshold <= p.max_block_threads);
+        prop_assert!(p.max_block_threads <= p.block_dim);
+        prop_assert!(p.preload_factor <= 64);
+        prop_assert_eq!(p.tight_key_range, raw.tight_key_range);
+        prop_assert_eq!(p.step_engine, raw.step_engine);
+        prop_assert_eq!(p.normalized(), p);
+    }
 
     /// Profile JSON is a public input: any string of report tokens parses
     /// or fails typed, never panics.
