@@ -3,12 +3,13 @@
 //! The repo hand-writes all of its JSON (there is no serde in the tree),
 //! so CI needs an equally dependency-free way to hold the exported
 //! observability artifacts to a contract. [`parse`] is a strict
-//! recursive-descent JSON parser; [`validate`] checks a value against a
-//! schema document using the subset of JSON Schema the checked-in schemas
-//! under `schemas/` use: `type` (including `"integer"`), `required`,
-//! `properties`, `items`, `enum` and `const`. Unknown keywords are
-//! ignored, unknown object members are allowed — the contract pins shape,
-//! not closed-world exactness.
+//! recursive-descent JSON parser with a fixed bound on nesting depth, so
+//! hostile input fails typed instead of exhausting the stack; [`validate`]
+//! checks a value against a schema document using the subset of JSON
+//! Schema the checked-in schemas under `schemas/` use: `type` (including
+//! `"integer"`), `required`, `properties`, `items`, `enum` and `const`.
+//! Unknown keywords are ignored, unknown object members are allowed — the
+//! contract pins shape, not closed-world exactness.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -77,9 +78,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting the parser accepts. The exported
+/// artifacts nest a handful of levels; anything deeper is rejected with a
+/// [`ParseError`] before recursion can overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -112,8 +120,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, ParseError> {
         self.skip_ws();
         match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -121,6 +129,20 @@ impl<'a> Parser<'a> {
             Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
             _ => self.err("expected a value"),
         }
+    }
+
+    /// Parses one array or object with `inner`, one level deeper.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(&format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, ParseError> {
@@ -294,11 +316,13 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// [`ParseError`] with the byte offset of the first malformed construct.
+/// [`ParseError`] with the byte offset of the first malformed construct,
+/// or of the first array or object nested more than 128 levels deep.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         b: text.as_bytes(),
         i: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.finish()?;
@@ -317,6 +341,7 @@ pub fn object_members(text: &str) -> Result<Vec<(String, Range<usize>)>, ParseEr
     let mut p = Parser {
         b: text.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.skip_ws();
     if p.b.get(p.i) != Some(&b'{') {
@@ -406,6 +431,20 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let text = open.repeat(100_000);
+            let err = parse(&text).expect_err("too deep");
+            assert_eq!(err.at, MAX_DEPTH * open.len());
+            assert!(object_members(&format!("{{\"a\":{text}")).is_err());
+        }
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deeper = format!("[{ok}]");
+        assert!(parse(&deeper).is_err());
     }
 
     #[test]

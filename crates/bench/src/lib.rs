@@ -430,6 +430,61 @@ mod tests {
     }
 
     #[test]
+    fn multi_gpu_slices_equal_one_device_for_every_suite_app() {
+        use nextdoor_core::multi_gpu::run_nextdoor_multi_gpu_with_faults;
+        use nextdoor_gpu::FaultPlan;
+        // Each sample keeps its global index as its RNG key, so for every
+        // suite app the concatenated slices are one device's samples at
+        // 1–4 devices: clean, with device 0's graph upload out of memory,
+        // and with device 1 lost mid-slice.
+        let cfg = BenchConfig {
+            scale: 0.002,
+            samples: 64,
+            ..BenchConfig::default()
+        };
+        let graph = cfg.graph(Dataset::Ppi);
+        for (app, kind) in benchmark_suite() {
+            let init = cfg.init_for(&graph, kind);
+            let mut gpu = Gpu::new(cfg.gpu.clone());
+            let single = nextdoor_core::run_nextdoor(&mut gpu, &graph, app.as_ref(), &init, 3)
+                .expect("single device");
+            for gpus in 1..=4 {
+                let mut scripts = vec![vec![], vec![FaultPlan::new().fail_alloc(0)]];
+                if gpus > 1 {
+                    scripts.push(vec![
+                        FaultPlan::new(),
+                        FaultPlan::new().lose_device_at_launch(2),
+                    ]);
+                }
+                for plans in &scripts {
+                    let multi = run_nextdoor_multi_gpu_with_faults(
+                        &cfg.gpu,
+                        gpus,
+                        &graph,
+                        app.as_ref(),
+                        &init,
+                        3,
+                        plans,
+                    )
+                    .expect("a fault on one device is recovered");
+                    assert_eq!(multi.report.degraded_to_out_of_core, plans.len() == 1);
+                    assert_eq!(multi.report.devices_lost, plans.len() / 2);
+                    let sliced: Vec<Vec<VertexId>> = multi
+                        .per_gpu
+                        .iter()
+                        .flat_map(|r| r.store.final_samples())
+                        .collect();
+                    assert!(
+                        sliced == single.store.final_samples(),
+                        "{} on {gpus} GPUs with {plans:?}",
+                        app.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn speedup_formatting() {
         assert_eq!(speedup(10.0, 2.0), "5.00x");
         assert_eq!(speedup(10.0, 0.0), "n/a");

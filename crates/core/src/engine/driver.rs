@@ -474,18 +474,21 @@ pub(crate) fn finish_run(
     }
 }
 
-/// Runs `app` to completion with the chosen engine on `gpu`.
+/// Runs `app` to completion with the chosen engine on `gpu`, drawing
+/// sample `s`'s random streams from `keys.key(s)`.
 ///
 /// Validates inputs up front, recovers from transient faults by retrying
 /// steps, and — for the NextDoor engine only — degrades to the out-of-core
 /// engine when the graph upload does not fit in device memory. The samples
-/// of a degraded run are byte-identical to an in-core run's.
+/// of a degraded run are byte-identical to an in-core run's. One-shot runs
+/// pass [`SampleKeys::uniform`]; a multi-GPU slice passes its samples'
+/// global indices, so it reproduces its slice of a single-device run.
 pub(crate) fn run_gpu_engine(
     gpu: &mut Gpu,
     graph: &Csr,
     app: &dyn SamplingApp,
     init: &[Vec<VertexId>],
-    seed: u64,
+    keys: &SampleKeys,
     kind: GpuEngineKind,
 ) -> Result<RunResult, NextDoorError> {
     crate::error::validate_run(graph, app, init)?;
@@ -496,14 +499,13 @@ pub(crate) fn run_gpu_engine(
     let launch0 = gpu.launches_issued();
     match GpuGraph::upload(gpu, graph) {
         Ok(gg) => {
-            let keys = SampleKeys::uniform(seed);
             let out = run_step_loop(
                 gpu,
                 graph,
                 &gg,
                 app,
                 init,
-                &keys,
+                keys,
                 kind,
                 None,
                 &TuningPlan::default(),
@@ -527,7 +529,7 @@ pub(crate) fn run_gpu_engine(
             report.degraded_to_out_of_core = true;
             let budget = (gpu.mem_capacity() / 2).max(1);
             let (mut res, _ooc) =
-                crate::large_graph::out_of_core_run(gpu, graph, app, init, seed, budget)?;
+                crate::large_graph::out_of_core_run(gpu, graph, app, init, keys, budget)?;
             res.report.merge(&report);
             Ok(res)
         }

@@ -3,7 +3,7 @@
 
 use crate::api::SamplingApp;
 use crate::engine::driver::{run_gpu_engine, GpuEngineKind};
-use crate::engine::RunResult;
+use crate::engine::{RunResult, SampleKeys};
 use crate::error::NextDoorError;
 use nextdoor_gpu::Gpu;
 use nextdoor_graph::{Csr, VertexId};
@@ -30,7 +30,8 @@ pub fn run_nextdoor(
     init: &[Vec<VertexId>],
     seed: u64,
 ) -> Result<RunResult, NextDoorError> {
-    run_gpu_engine(gpu, graph, app, init, seed, GpuEngineKind::NextDoor)
+    let keys = SampleKeys::uniform(seed);
+    run_gpu_engine(gpu, graph, app, init, &keys, GpuEngineKind::NextDoor)
 }
 
 #[cfg(test)]

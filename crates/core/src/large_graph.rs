@@ -19,7 +19,7 @@
 
 use crate::api::SamplingApp;
 use crate::engine::driver::{finish_run, run_step_loop, GpuEngineKind};
-use crate::engine::{EngineStats, RunResult};
+use crate::engine::{EngineStats, RunResult, SampleKeys};
 use crate::error::{validate_run, NextDoorError};
 use crate::gpu_graph::GpuGraph;
 use nextdoor_gpu::Gpu;
@@ -113,7 +113,7 @@ pub(crate) fn out_of_core_run(
     graph: &Csr,
     app: &dyn SamplingApp,
     init: &[Vec<VertexId>],
-    seed: u64,
+    keys: &SampleKeys,
     budget_bytes: usize,
 ) -> Result<(RunResult, OutOfCoreStats), NextDoorError> {
     let parts = partition_graph(graph, budget_bytes)?;
@@ -124,14 +124,13 @@ pub(crate) fn out_of_core_run(
     gpu.set_charge_transfers(true);
     let counters0 = *gpu.counters();
     let launch0 = gpu.launches_issued();
-    let keys = crate::engine::SampleKeys::uniform(seed);
     let loop_res = run_step_loop(
         gpu,
         graph,
         &gg,
         app,
         init,
-        &keys,
+        keys,
         GpuEngineKind::NextDoor,
         Some(&parts),
         &crate::tuning::TuningPlan::default(),
@@ -176,7 +175,8 @@ pub fn run_nextdoor_out_of_core(
     budget_bytes: usize,
 ) -> Result<(RunResult, OutOfCoreStats), NextDoorError> {
     validate_run(graph, app, init)?;
-    out_of_core_run(gpu, graph, app, init, seed, budget_bytes)
+    let keys = SampleKeys::uniform(seed);
+    out_of_core_run(gpu, graph, app, init, &keys, budget_bytes)
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //! never panics on user input: inputs are validated up front, device-memory
 //! exhaustion degrades the NextDoor engine to the out-of-core engine,
 //! transiently-faulted steps are retried (the counter-based RNG makes
-//! re-runs bit-identical), and multi-GPU runs fail a lost device's shard
+//! re-runs bit-identical), and multi-GPU runs fail a lost device's slice
 //! over to a survivor. The [`FaultReport`] on every result records what the
 //! run survived; faults can be scripted deterministically with
 //! [`nextdoor_gpu::FaultPlan`].

@@ -1,35 +1,39 @@
 //! Multi-GPU sampling (paper §6.4, Figure 10) with device-loss failover.
 //!
 //! Graph sampling is embarrassingly parallel across samples, so NextDoor's
-//! multi-GPU mode simply partitions the samples into contiguous shards —
-//! one per device — runs load balancing, scheduling and the sampling
-//! kernels on each device independently, and collects the outputs. The
-//! replicated graph and the per-device sample partition are exactly what
-//! the paper describes; the multi-GPU wall time is the slowest device's
-//! accumulated time.
+//! multi-GPU mode replicates the graph, partitions the samples into
+//! contiguous slices — one per device — runs load balancing, scheduling
+//! and the sampling kernels on each device independently, and collects the
+//! outputs. The multi-GPU wall time is the slowest device's accumulated
+//! time.
 //!
-//! Shard seeds are keyed by the *shard* index, not the physical device, so
-//! when a device is lost its shard can be re-run on any survivor and
-//! produce byte-identical samples. Failover re-runs the whole shard: steps
-//! completed on the lost device are unrecoverable (its memory is gone), and
-//! the counter-based RNG makes the re-run deterministic.
+//! A slice is a keyed slice of one run: sample `i` of the full input draws
+//! its random streams from `(seed, i)` wherever it runs (see
+//! [`SampleKeys`]). Concatenating the slices' samples therefore gives
+//! exactly the samples of a single-device [`run_nextdoor`](crate::run_nextdoor)
+//! on the full input, at any device count. The keys do not depend on the
+//! device, so when a device is lost its slice re-runs on a survivor with
+//! the same keys; steps completed on the lost device are unrecoverable
+//! (its memory is gone), and the counter-based RNG makes the re-run
+//! reproduce them.
 
 use crate::api::SamplingApp;
-use crate::engine::nextdoor::run_nextdoor;
-use crate::engine::{EngineStats, RunResult};
+use crate::engine::driver::{run_gpu_engine, GpuEngineKind};
+use crate::engine::{EngineStats, RunResult, SampleKeys};
 use crate::error::{validate_run, FaultReport, NextDoorError};
 use nextdoor_gpu::{FaultPlan, Gpu, GpuSpec, Profile};
 use nextdoor_graph::{Csr, VertexId};
+use std::ops::Range;
 
 /// Result of a multi-GPU sampling run.
 pub struct MultiGpuResult {
-    /// One result per sample shard, in shard order (concatenating the
-    /// stores reconstructs the full sample set). Without failover, shard
-    /// `i` ran on device `i`.
+    /// One result per sample slice, in slice order. Concatenating the
+    /// stores gives the samples of a single-device run on the full input.
+    /// Without failover, slice `i` ran on device `i`.
     pub per_gpu: Vec<RunResult>,
     /// Wall time of the run: the slowest device's accumulated total time.
     pub makespan_ms: f64,
-    /// Aggregated fault report: per-shard faults plus device losses and
+    /// Aggregated fault report: per-slice faults plus device losses and
     /// failovers handled by this layer.
     pub report: FaultReport,
     /// Raw per-device kernel profiles (index = physical device), for
@@ -40,12 +44,12 @@ pub struct MultiGpuResult {
 }
 
 impl MultiGpuResult {
-    /// Per-shard statistics.
+    /// Per-slice statistics.
     pub fn stats(&self) -> Vec<&EngineStats> {
         self.per_gpu.iter().map(|r| &r.stats).collect()
     }
 
-    /// Total samples across all shards.
+    /// Total samples across all slices.
     pub fn total_samples(&self) -> usize {
         self.per_gpu.iter().map(|r| r.store.num_samples()).sum()
     }
@@ -55,8 +59,8 @@ impl MultiGpuResult {
 /// `true`, the one with the smallest accumulated `load_ms`, ties broken
 /// towards the lowest index. Returns `None` when nothing is alive.
 ///
-/// This is the failover routing rule shared by the multi-GPU shard layer
-/// (re-running a lost device's shard on a survivor) and the serving tier's
+/// This is the failover routing rule shared by the multi-GPU layer
+/// (re-running a lost device's slice on a survivor) and the serving tier's
 /// replica pool (routing a micro-batch around unhealthy replicas) — both
 /// need the same deterministic "cheapest survivor" choice.
 pub fn least_loaded_alive(alive: &[bool], load_ms: &[f64]) -> Option<usize> {
@@ -68,15 +72,14 @@ pub fn least_loaded_alive(alive: &[bool], load_ms: &[f64]) -> Option<usize> {
 /// Runs `app` across `num_gpus` simulated devices of identical `spec`,
 /// partitioning `init` contiguously.
 ///
-/// Each shard receives its own seed stream (`seed ^ shard`), so the union
-/// of outputs is a valid sample set but not bit-identical to a single-GPU
-/// run — the paper's scheme has the same property, since each GPU draws
-/// from its own generator.
+/// Each sample keeps its global index as its RNG key, so the concatenated
+/// slices are bit-identical to [`run_nextdoor`](crate::run_nextdoor) on
+/// the full `init` with the same `seed`; only the simulated time differs.
 ///
 /// # Errors
 ///
 /// Returns [`NextDoorError`] if `num_gpus` is zero or exceeds the number of
-/// initial samples, on invalid initial samples, or when a shard fails for a
+/// initial samples, on invalid initial samples, or when a slice fails for a
 /// reason failover cannot mask (including [`NextDoorError::AllDevicesLost`]
 /// once no survivor remains).
 pub fn run_nextdoor_multi_gpu(
@@ -95,12 +98,12 @@ pub fn run_nextdoor_multi_gpu(
 ///
 /// This is the fault-injection entry point: scripted device losses exercise
 /// the failover path, and per-device allocation or launch faults flow into
-/// the aggregated [`FaultReport`].
+/// the aggregated [`FaultReport`]. A slice that degrades to out-of-core or
+/// fails over keeps its keys, so its samples do not change.
 ///
 /// # Errors
 ///
 /// Same conditions as [`run_nextdoor_multi_gpu`].
-#[allow(clippy::too_many_arguments)]
 pub fn run_nextdoor_multi_gpu_with_faults(
     spec: &GpuSpec,
     num_gpus: usize,
@@ -131,81 +134,53 @@ pub fn run_nextdoor_multi_gpu_with_faults(
             gpu
         })
         .collect();
+    // Slice `lo..hi` keys each sample by its global index. Rounding the
+    // slice size up may leave the last devices without a slice.
+    let per = init.len().div_ceil(num_gpus);
+    let slices: Vec<Range<usize>> = (0..init.len())
+        .step_by(per)
+        .map(|lo| lo..(lo + per).min(init.len()))
+        .collect();
+    let run = |gpu: &mut Gpu, slice: &Range<usize>| {
+        let keys = SampleKeys::fused(slice.clone().map(|i| (seed, i as u64)).collect());
+        let init = &init[slice.clone()];
+        run_gpu_engine(gpu, graph, app, init, &keys, GpuEngineKind::NextDoor)
+    };
+    // First wave: slice `i` runs on device `i`. Real hardware runs the
+    // devices concurrently, so with more than one host worker thread each
+    // device gets its own host thread (its launches may also use the
+    // intra-launch worker pool); otherwise the wave runs inline in slice
+    // order. Each device executes exactly its own slice during the wave —
+    // failover re-runs happen strictly afterwards — and all accounting is
+    // folded in slice order below, so every device profile, counter and
+    // sample is bit-identical at any thread count.
+    let concurrent = gpus[0].host_threads() > 1;
+    let mut first_wave: Vec<Option<_>> = slices.iter().map(|_| None).collect();
+    std::thread::scope(|s| {
+        for ((gpu, slot), slice) in gpus.iter_mut().zip(&mut first_wave).zip(&slices) {
+            let mut job = move || *slot = Some(run(gpu, slice));
+            if concurrent {
+                s.spawn(job);
+            } else {
+                job();
+            }
+        }
+    });
+    // Reduction, strictly in slice order. A slice whose device is gone,
+    // or dies during the slice, re-runs on the least-loaded survivor.
     let mut alive = vec![true; num_gpus];
     let mut device_ms = vec![0.0f64; num_gpus];
     let mut report = FaultReport::default();
-    let per = init.len().div_ceil(num_gpus);
-    let mut per_gpu = Vec::with_capacity(num_gpus);
-    // First wave: shard `i` runs on device `i`, and real hardware runs the
-    // devices concurrently — so do we, one host thread per device (each
-    // device's launches may additionally use the intra-launch worker pool).
-    // With a single host worker thread the wave runs inline in shard order
-    // instead. Either way each device executes exactly its own shard during
-    // the wave — failover re-runs happen strictly afterwards — so every
-    // device profile, counter and sample is bit-identical at any thread
-    // count: shard seeds are device-independent and all accounting is
-    // folded in shard order below.
-    let concurrent = gpus.first().is_some_and(|g| g.host_threads() > 1);
-    let mut first_wave: Vec<Option<Result<RunResult, NextDoorError>>> =
-        (0..num_gpus).map(|_| None).collect();
-    if concurrent {
-        std::thread::scope(|s| {
-            for (shard, (gpu, slot)) in gpus.iter_mut().zip(first_wave.iter_mut()).enumerate() {
-                let lo = shard * per;
-                let hi = ((shard + 1) * per).min(init.len());
-                if lo >= hi {
-                    continue;
-                }
-                let shard_seed = seed ^ shard as u64;
-                s.spawn(move || {
-                    *slot = Some(run_nextdoor(gpu, graph, app, &init[lo..hi], shard_seed));
-                });
-            }
-        });
-    } else {
-        for (shard, (gpu, slot)) in gpus.iter_mut().zip(first_wave.iter_mut()).enumerate() {
-            let lo = shard * per;
-            let hi = ((shard + 1) * per).min(init.len());
-            if lo >= hi {
-                continue;
-            }
-            let shard_seed = seed ^ shard as u64;
-            *slot = Some(run_nextdoor(gpu, graph, app, &init[lo..hi], shard_seed));
-        }
-    }
-    // Reduction wave, strictly in shard order: fold each shard's result
-    // into the accounting, running failovers (and, in the sequential path,
-    // the shards themselves) inline.
-    for shard in 0..num_gpus {
-        let lo = shard * per;
-        let hi = ((shard + 1) * per).min(init.len());
-        if lo >= hi {
-            break;
-        }
-        let shard_seed = seed ^ shard as u64;
-        // Prefer the shard's own device; if it is already gone (or dies
-        // mid-shard), re-run on the least-loaded survivor. The shard seed
-        // is device-independent, so the survivor reproduces exactly the
-        // samples the lost device would have produced.
-        let pick_survivor = least_loaded_alive;
-        let mut dev = if alive[shard] {
-            shard
-        } else {
-            pick_survivor(&alive, &device_ms).ok_or(NextDoorError::AllDevicesLost)?
-        };
-        // The concurrent first wave already ran this shard on its own
-        // device; reuse that result for the first loop iteration.
-        let mut pending = if dev == shard {
-            first_wave[shard].take()
-        } else {
-            None
-        };
+    let mut per_gpu = Vec::with_capacity(slices.len());
+    for ((i, slice), first) in slices.iter().enumerate().zip(first_wave) {
+        // The first wave's result stands only if its device is still alive.
+        let (mut dev, mut pending) = (i, first.filter(|_| alive[i]));
         loop {
-            let attempt = match pending.take() {
-                Some(r) => r,
-                None => run_nextdoor(&mut gpus[dev], graph, app, &init[lo..hi], shard_seed),
-            };
-            match attempt {
+            if !alive[dev] {
+                dev =
+                    least_loaded_alive(&alive, &device_ms).ok_or(NextDoorError::AllDevicesLost)?;
+            }
+            match pending.take().unwrap_or_else(|| run(&mut gpus[dev], slice)) {
                 Ok(res) => {
                     device_ms[dev] += res.stats.total_ms;
                     report.merge(&res.report);
@@ -215,10 +190,7 @@ pub fn run_nextdoor_multi_gpu_with_faults(
                 Err(NextDoorError::DeviceLost { .. }) => {
                     alive[dev] = false;
                     report.devices_lost += 1;
-                    let next =
-                        pick_survivor(&alive, &device_ms).ok_or(NextDoorError::AllDevicesLost)?;
                     report.failovers += 1;
-                    dev = next;
                 }
                 Err(e) => return Err(e),
             }
@@ -238,6 +210,7 @@ pub fn run_nextdoor_multi_gpu_with_faults(
 mod tests {
     use super::*;
     use crate::api::{NextCtx, Steps};
+    use crate::engine::nextdoor::run_nextdoor;
     use nextdoor_graph::gen::{rmat, RmatParams};
 
     struct Walk(usize);
@@ -329,6 +302,14 @@ mod tests {
         for (c, f) in clean.per_gpu.iter().zip(&faulty.per_gpu) {
             assert_eq!(c.store.final_samples(), f.store.final_samples());
         }
+        // The slices are the matching slices of a single-device run.
+        let single = run_nextdoor(&mut Gpu::new(spec), &g, &Walk(4), &init, 9).unwrap();
+        let sliced: Vec<Vec<u32>> = faulty
+            .per_gpu
+            .iter()
+            .flat_map(|r| r.store.final_samples())
+            .collect();
+        assert_eq!(sliced, single.store.final_samples());
     }
 
     #[test]

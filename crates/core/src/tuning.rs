@@ -232,10 +232,25 @@ pub struct ProfileSummary {
 impl ProfileSummary {
     /// Folds one run's per-kernel breakdown into the summary.
     pub fn observe(&mut self, profile: &RunProfile) {
-        let mut bg_ms = 0.0f64;
-        let mut bg_util = 0.0f64;
-        let mut bg_occ = 0.0f64;
-        for k in &profile.kernels {
+        self.fold(profile.kernels.iter().map(|k| KernelSignal {
+            phase: k.phase,
+            ms: k.ms,
+            sm_utilization: if k.counters.sm_total_cycles > 0.0 {
+                k.counters.sm_busy_cycles / k.counters.sm_total_cycles
+            } else {
+                1.0
+            },
+            occupancy: k.avg_occupancy,
+        }));
+    }
+
+    /// Folds one run's kernels into the summary: milliseconds per phase,
+    /// and the block/grid kernels' utilisation and occupancy into the
+    /// running ms-weighted averages.
+    fn fold(&mut self, kernels: impl IntoIterator<Item = KernelSignal>) {
+        let prev_bg_ms = self.block_ms + self.grid_ms;
+        let (mut bg_ms, mut bg_util, mut bg_occ) = (0.0f64, 0.0f64, 0.0f64);
+        for k in kernels {
             self.total_ms += k.ms;
             match k.phase {
                 KernelPhase::Scheduling => self.scheduling_ms += k.ms,
@@ -246,30 +261,17 @@ impl ProfileSummary {
                 _ => {}
             }
             if matches!(k.phase, KernelPhase::Block | KernelPhase::Grid) {
-                let util = if k.counters.sm_total_cycles > 0.0 {
-                    k.counters.sm_busy_cycles / k.counters.sm_total_cycles
-                } else {
-                    1.0
-                };
                 bg_ms += k.ms;
-                bg_util += util * k.ms;
-                bg_occ += k.avg_occupancy * k.ms;
+                bg_util += k.sm_utilization * k.ms;
+                bg_occ += k.occupancy * k.ms;
             }
         }
         if bg_ms > 0.0 {
-            // Fold the new ms-weighted averages into the running ones.
-            let prev_ms = self.prev_bg_ms(bg_ms);
-            self.bg_sm_utilization =
-                (self.bg_sm_utilization * prev_ms + bg_util) / (prev_ms + bg_ms);
-            self.bg_occupancy = (self.bg_occupancy * prev_ms + bg_occ) / (prev_ms + bg_ms);
+            let total_ms = prev_bg_ms + bg_ms;
+            self.bg_sm_utilization = (self.bg_sm_utilization * prev_bg_ms + bg_util) / total_ms;
+            self.bg_occupancy = (self.bg_occupancy * prev_bg_ms + bg_occ) / total_ms;
         }
         self.runs += 1;
-    }
-
-    /// Block+grid milliseconds accumulated *before* the current
-    /// observation (the running averages' weight).
-    fn prev_bg_ms(&self, new_bg_ms: f64) -> f64 {
-        (self.block_ms + self.grid_ms - new_bg_ms).max(0.0)
     }
 
     /// Fraction of `ms` in the time of the NextDoor path's own kernels:
@@ -320,43 +322,38 @@ impl ProfileSummary {
             + rest[open..]
                 .find(']')
                 .ok_or_else(|| "unterminated \"kernels\" array".to_string())?;
-        let body = &rest[open + 1..close];
+        let kernels = rest[open + 1..close]
+            .split("{\"name\"")
+            .skip(1)
+            .map(|entry| {
+                let name = json_str_field(&format!("{{\"name\"{entry}"), "name")
+                    .ok_or_else(|| "kernel entry without a name".to_string())?;
+                Ok(KernelSignal {
+                    phase: crate::engine::profile::classify_kernel(&name),
+                    ms: json_num_field(entry, "ms")
+                        .ok_or_else(|| format!("kernel {name:?} has no \"ms\" field"))?,
+                    // `multiprocessor_activity` is a percentage in the report.
+                    sm_utilization: json_num_field(entry, "multiprocessor_activity")
+                        .map_or(1.0, |p| (p / 100.0).clamp(0.0, 1.0)),
+                    occupancy: json_num_field(entry, "avg_occupancy").unwrap_or(1.0),
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         let mut s = ProfileSummary::default();
-        let mut bg_ms = 0.0f64;
-        let mut bg_util = 0.0f64;
-        let mut bg_occ = 0.0f64;
-        for entry in body.split("{\"name\"").skip(1) {
-            let name = json_str_field(&format!("{{\"name\"{entry}"), "name")
-                .ok_or_else(|| "kernel entry without a name".to_string())?;
-            let ms = json_num_field(entry, "ms")
-                .ok_or_else(|| format!("kernel {name:?} has no \"ms\" field"))?;
-            s.total_ms += ms;
-            let phase = crate::engine::profile::classify_kernel(&name);
-            match phase {
-                KernelPhase::Scheduling => s.scheduling_ms += ms,
-                KernelPhase::SubWarp => s.subwarp_ms += ms,
-                KernelPhase::Block => s.block_ms += ms,
-                KernelPhase::Grid => s.grid_ms += ms,
-                KernelPhase::SampleParallel => s.sample_parallel_ms += ms,
-                _ => {}
-            }
-            if matches!(phase, KernelPhase::Block | KernelPhase::Grid) {
-                // `multiprocessor_activity` is a percentage in the report.
-                let util = json_num_field(entry, "multiprocessor_activity")
-                    .map_or(1.0, |p| (p / 100.0).clamp(0.0, 1.0));
-                let occ = json_num_field(entry, "avg_occupancy").unwrap_or(1.0);
-                bg_ms += ms;
-                bg_util += util * ms;
-                bg_occ += occ * ms;
-            }
-        }
-        if bg_ms > 0.0 {
-            s.bg_sm_utilization = bg_util / bg_ms;
-            s.bg_occupancy = bg_occ / bg_ms;
-        }
-        s.runs = 1;
+        s.fold(kernels);
         Ok(s)
     }
+}
+
+/// One kernel's contribution to a [`ProfileSummary`], from an in-process
+/// profile or a parsed kernel report.
+struct KernelSignal {
+    phase: KernelPhase,
+    ms: f64,
+    /// SM busy fraction (0..=1).
+    sm_utilization: f64,
+    /// Achieved occupancy (0..=1).
+    occupancy: f64,
 }
 
 /// Extracts `"field":"value"` from a JSON fragment.

@@ -9,7 +9,7 @@
 //! mechanisms around them:
 //!
 //! * **Routing**: every micro-batch goes to the least-loaded *healthy*
-//!   replica (the same deterministic rule the multi-GPU shard layer uses
+//!   replica (the same deterministic rule the multi-GPU layer uses
 //!   for failover, [`least_loaded_alive`]). Replica choice never changes
 //!   the samples — engines key all randomness through
 //!   [`SampleKeys`](nextdoor_core::engine::SampleKeys), not device state.

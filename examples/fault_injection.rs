@@ -1,6 +1,6 @@
 //! Scripting device faults against a run and watching the runtime recover
 //! (or fail with a typed error). The counter-keyed RNG makes every recovery
-//! path — out-of-core degradation, step retry, multi-GPU shard failover —
+//! path — out-of-core degradation, step retry, multi-GPU slice failover —
 //! reproduce the fault-free samples exactly.
 //!
 //! ```sh
@@ -35,7 +35,9 @@ fn main() {
     );
     println!("single GPU survived: {}", faulty.report);
 
-    // Multi-GPU: device 1 dies mid-run; its shard fails over to a survivor.
+    // Multi-GPU: device 1 dies mid-run; its slice fails over to a survivor.
+    // Every sample is keyed by its global index, so the slices together
+    // are exactly the single-device samples.
     let plans = [
         FaultPlan::new(),
         FaultPlan::new().lose_device_at_launch(2),
@@ -44,6 +46,17 @@ fn main() {
     let multi =
         run_nextdoor_multi_gpu_with_faults(&GpuSpec::v100(), 3, &graph, &app, &init, 123, &plans)
             .expect("failover succeeds");
+    assert_eq!(multi.report.failovers, 1);
+    let sliced: Vec<_> = multi
+        .per_gpu
+        .iter()
+        .flat_map(|r| r.store.final_samples())
+        .collect();
+    assert_eq!(
+        sliced,
+        clean.store.final_samples(),
+        "failed-over slices must be byte-identical"
+    );
     println!("multi GPU survived: {}", multi.report);
 
     // Unrecoverable: the only device is lost — a typed error, not a panic.

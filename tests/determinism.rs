@@ -133,7 +133,7 @@ fn fault_retry_run_is_thread_count_invariant() {
 
 #[test]
 fn multi_gpu_failover_is_thread_count_invariant() {
-    // Three devices, one of which drops off the bus mid-shard: the
+    // Three devices, one of which drops off the bus mid-slice: the
     // device-concurrent first wave plus the in-order failover must match
     // the fully sequential host loop bit-for-bit.
     let (graph, init, app) = workload();

@@ -9,10 +9,10 @@ use nextdoor::core::{initial_samples_random, run_nextdoor, NextDoorError};
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor::graph::Dataset;
 
-/// The issue's acceptance scenario: one multi-GPU k-hop run that survives
-/// an upload OOM (degrading that shard to out-of-core), a transient kernel
-/// fault (retried), and a whole-device loss (failed over) — and still
-/// returns exactly the samples of a fault-free run.
+/// One multi-GPU k-hop run that survives an upload OOM (degrading that
+/// slice to out-of-core), a transient kernel fault (retried), and a
+/// whole-device loss (failed over) — and still returns exactly the samples
+/// of a fault-free run, which are those of a single-device run.
 #[test]
 fn scripted_faults_survive_a_multi_gpu_khop_run() {
     let graph = Dataset::Ppi.generate(0.02, 5);
@@ -24,13 +24,13 @@ fn scripted_faults_survive_a_multi_gpu_khop_run() {
 
     let plans = vec![
         // Device 0: the very first allocation (the graph upload) fails,
-        // degrading shard 0 to the out-of-core engine.
+        // degrading slice 0 to the out-of-core engine.
         FaultPlan::new().fail_alloc(0),
         // Device 1: a transient memory fault on an early kernel launch,
         // absorbed by the bounded step retry.
         FaultPlan::new().transient_at_launch(3),
-        // Device 2: the whole device drops off the bus mid-shard; the
-        // shard fails over to a surviving device.
+        // Device 2: the whole device drops off the bus mid-slice; the
+        // slice fails over to a surviving device.
         FaultPlan::new().lose_device_at_launch(2),
     ];
     let faulty =
@@ -38,7 +38,7 @@ fn scripted_faults_survive_a_multi_gpu_khop_run() {
 
     assert!(
         faulty.report.degraded_to_out_of_core,
-        "shard 0 should have degraded to out-of-core: {}",
+        "slice 0 should have degraded to out-of-core: {}",
         faulty.report
     );
     assert!(
@@ -57,6 +57,15 @@ fn scripted_faults_survive_a_multi_gpu_khop_run() {
             "faulty run must reproduce the fault-free samples exactly"
         );
     }
+    // The slices, degraded and failed over included, are the matching
+    // slices of a single-device run.
+    let single = run_nextdoor(&mut Gpu::new(spec), &graph, &app, &init, 7).unwrap();
+    let sliced: Vec<Vec<u32>> = faulty
+        .per_gpu
+        .iter()
+        .flat_map(|r| r.store.final_samples())
+        .collect();
+    assert_eq!(sliced, single.store.final_samples());
 }
 
 #[test]

@@ -2,11 +2,14 @@
 
 use proptest::prelude::*;
 
-use nextdoor::apps::{DeepWalk, KHop};
+use nextdoor::apps::{DeepWalk, KHop, Layer, Node2Vec};
 use nextdoor::core::engine::unique::dedup_values;
+use nextdoor::core::multi_gpu::run_nextdoor_multi_gpu_with_faults;
 use nextdoor::core::session::SamplerSession;
 use nextdoor::core::tuning::{StepEngine, TuningPlan};
-use nextdoor::core::{run_cpu, run_nextdoor, ProfileSummary, SamplingApp, NULL_VERTEX};
+use nextdoor::core::{
+    run_cpu, run_nextdoor, NextDoorError, ProfileSummary, SamplingApp, NULL_VERTEX,
+};
 use nextdoor::gpu::algorithms::{compact, exclusive_scan, histogram, radix_sort_pairs};
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor::graph::gen::{rmat, RmatParams};
@@ -184,6 +187,47 @@ proptest! {
             // the fault-free samples exactly.
             if let Ok(res) = run_nextdoor(&mut gpu, &g, app.as_ref(), &init, seed) {
                 prop_assert_eq!(res.store.final_samples(), clean.store.final_samples());
+            }
+        }
+    }
+
+    #[test]
+    fn multi_gpu_runs_equal_one_device(
+        g in arb_graph(),
+        seed in 0u64..500,
+        gpus in 1usize..=4,
+        faulty in 0usize..4,
+        plan in arb_fault_plan()
+    ) {
+        // Every sample is keyed by its global index, so a multi-GPU run
+        // that succeeds returns exactly the single-device samples, at any
+        // device count and under any fault script on one device
+        // (including upload OOM and device loss). Otherwise the run
+        // fails typed: the lone device is lost or a step exhausts its
+        // retries.
+        let init: Vec<Vec<VertexId>> = (0..8).map(|i| vec![i * 9 % 64]).collect();
+        let apps: Vec<Box<dyn SamplingApp>> = vec![
+            Box::new(DeepWalk::new(5)),
+            Box::new(Node2Vec::new(5, 2.0, 0.5)),
+            Box::new(KHop::new(vec![3, 2])),
+            Box::new(Layer::new(4, 12)),
+        ];
+        let mut plans = vec![FaultPlan::new(); gpus];
+        plans[faulty % gpus] = plan;
+        for app in &apps {
+            let mut gpu = Gpu::new(GpuSpec::small());
+            let single = run_nextdoor(&mut gpu, &g, app.as_ref(), &init, seed).unwrap();
+            let spec = GpuSpec::small();
+            match run_nextdoor_multi_gpu_with_faults(&spec, gpus, &g, app.as_ref(), &init, seed, &plans) {
+                Ok(multi) => {
+                    let sliced: Vec<Vec<VertexId>> =
+                        multi.per_gpu.iter().flat_map(|r| r.store.final_samples()).collect();
+                    prop_assert_eq!(sliced, single.store.final_samples());
+                }
+                Err(e) => prop_assert!(
+                    matches!(e, NextDoorError::AllDevicesLost | NextDoorError::KernelFault { .. }),
+                    "unexpected error {e}"
+                ),
             }
         }
     }
