@@ -1,8 +1,9 @@
 //! Shard-scaling benchmark: what partitioning the graph across devices
 //! buys (and costs) the serving tier.
 //!
-//! Serves the same request stream through a [`ShardedPool`] at 1, 2 and 4
-//! shards, then re-runs the 4-shard configuration with one shard killed
+//! Serves the same request stream through a [`Batcher`] over a
+//! [`ShardedPool`] at 1, 2 and 4 shards, one wave of requests per drain,
+//! then re-runs the 4-shard configuration with one shard killed
 //! mid-stream, and records per-configuration throughput, hand-off traffic
 //! and partition quality in the `"shard"` section of `BENCH_serve.json`.
 //!
@@ -18,7 +19,7 @@ use nextdoor_core::api::SamplingApp;
 use nextdoor_core::session::SessionQuery;
 use nextdoor_gpu::FaultPlan;
 use nextdoor_graph::{Csr, Dataset};
-use nextdoor_serve::{ServeError, ShardPoolConfig, ShardedPool};
+use nextdoor_serve::{Batcher, Request, ServeConfig, ServeError, ShardPoolConfig, ShardedPool};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -38,8 +39,9 @@ struct LegResult {
     samples: HashMap<u64, Vec<Vec<u32>>>,
 }
 
-/// Serves `queries` through a fresh pool of `shards` shards, optionally
-/// killing shard 1 two launches into the second wave.
+/// Serves `queries` through a batcher over a fresh pool of `shards`
+/// shards, one `wave` per drain (so each wave is one fused dispatch),
+/// optionally killing shard 1 two launches into the second wave.
 fn serve_stream(
     cfg: &BenchConfig,
     graph: &Csr,
@@ -48,7 +50,7 @@ fn serve_stream(
     wave: usize,
     lose_shard_mid_stream: bool,
 ) -> (LegResult, ShardedPool) {
-    let mut pool = ShardedPool::new(
+    let pool = ShardedPool::new(
         cfg.gpu.clone(),
         graph.clone(),
         app(),
@@ -59,28 +61,42 @@ fn serve_stream(
         },
     )
     .expect("bench graph shards cleanly");
+    let serve_cfg = ServeConfig {
+        max_batch: wave,
+        max_queue: wave,
+        ..ServeConfig::default()
+    };
+    let mut batcher = Batcher::<ShardedPool>::new(pool, serve_cfg).expect("valid serve config");
     let mut completed = 0usize;
     let mut shed = 0usize;
     let mut samples = HashMap::new();
     for (w, chunk) in queries.chunks(wave).enumerate() {
         if w == 1 && lose_shard_mid_stream {
-            pool.schedule_faults(1, FaultPlan::new().lose_device_at_launch(2));
+            batcher
+                .pool_mut()
+                .schedule_faults(1, FaultPlan::new().lose_device_at_launch(2));
         }
-        let d = pool.dispatch(chunk).expect("dispatch survives shard loss");
-        for (q, r) in chunk.iter().zip(&d.results) {
-            match r {
-                Ok(store) => {
+        let seeds: HashMap<_, _> = chunk
+            .iter()
+            .map(|q| {
+                let id = batcher
+                    .submit(Request::new(q.init.clone(), q.seed))
+                    .expect("valid request fits the queue");
+                (id, q.seed)
+            })
+            .collect();
+        for (id, outcome) in batcher.drain() {
+            match outcome {
+                Ok(resp) => {
                     completed += 1;
-                    samples.insert(
-                        q.seed,
-                        store.final_samples().iter().map(|s| s.to_vec()).collect(),
-                    );
+                    samples.insert(seeds[&id], resp.store.final_samples());
                 }
                 Err(ServeError::ShardLost { .. }) => shed += 1,
                 Err(e) => panic!("unexpected serving outcome: {e}"),
             }
         }
     }
+    let pool = batcher.into_pool();
     let report = pool.report();
     let leg = LegResult {
         completed,

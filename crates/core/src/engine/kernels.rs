@@ -197,7 +197,7 @@ fn execute_lanes(
         // derives `phys` from an in-range pair position, so an out-of-range
         // slot means the work plan itself is corrupt — fail loudly rather
         // than silently merging the store into the last sector.
-        debug_assert!(
+        assert!(
             lw.phys < step_buf.len(),
             "physical slot {} out of range for step buffer of {} slots",
             lw.phys,

@@ -153,14 +153,10 @@ pub struct ShardedFusedResult {
     pub shard_reports: Vec<FaultReport>,
     /// Walkers handed between shards across the whole batch.
     pub handoffs: u64,
-    /// Simulated bytes those hand-offs moved.
-    pub handoff_bytes: u64,
     /// Walkers terminated by shard loss across the whole batch.
     pub walkers_lost: u64,
     /// Super-step breakdowns of every class, concatenated in class order.
     pub super_steps: Vec<SuperStepMark>,
-    /// Per-shard launch bracket covering the whole batch.
-    pub shard_launches: Vec<(u64, u64)>,
 }
 
 /// One simulated device holding one graph partition.
@@ -404,11 +400,6 @@ impl ShardedSampler {
         queries: &[SessionQuery],
     ) -> Result<ShardedFusedResult, NextDoorError> {
         let classes = WidthClass::split(&self.graph, self.app.as_ref(), queries)?;
-        let launch0: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| s.gpu.launches_issued())
-            .collect();
         let mut fused = ShardedFusedResult {
             per_query: Vec::new(),
             launches: classes.len(),
@@ -416,10 +407,8 @@ impl ShardedSampler {
             report: FaultReport::default(),
             shard_reports: vec![FaultReport::default(); self.shards.len()],
             handoffs: 0,
-            handoff_bytes: 0,
             walkers_lost: 0,
             super_steps: Vec::new(),
-            shard_launches: Vec::new(),
         };
         let mut per_query: Vec<Option<SampleStore>> = vec![None; queries.len()];
         for class in &classes {
@@ -431,12 +420,6 @@ impl ShardedSampler {
         for r in &fused.shard_reports {
             fused.report.merge(r);
         }
-        fused.shard_launches = self
-            .shards
-            .iter()
-            .zip(&launch0)
-            .map(|(s, &l0)| (l0, s.gpu.launches_issued()))
-            .collect();
         Ok(fused)
     }
 
@@ -609,7 +592,6 @@ impl ShardedSampler {
             let exchange_ms = step_bytes as f64 / LINK_BYTES_PER_MS + barrier;
             elapsed_ms += step_ms + exchange_ms;
             fused.handoffs += step_handoff_walkers;
-            fused.handoff_bytes += step_bytes;
             fused.super_steps.push(SuperStepMark {
                 step,
                 shard_pairs: shard_pairs.iter().map(Vec::len).collect(),
@@ -795,7 +777,6 @@ mod tests {
             .flat_map(|m| m.handoffs.iter().map(|h| h.walkers))
             .sum();
         assert_eq!(from_marks, out.handoffs);
-        assert_eq!(out.handoff_bytes, out.handoffs * HANDOFF_BYTES_PER_WALKER);
         assert!(out.handoffs > 0, "4 hash-partitioned shards must hand off");
         assert!(out.elapsed_ms > 0.0);
         assert_eq!(sharded.clock_ms(), out.elapsed_ms);

@@ -4,12 +4,24 @@
 //! The batcher is the deterministic core of the serving layer: it admits
 //! requests into a bounded queue and, on every drain, forms fused
 //! transit-parallel batches, hands each to its backend (one warm
-//! [`SamplerSession`] via [`SessionBackend`], or a replicated
-//! [`ReplicaPool`]), then slices results back per request. Fusion is a
+//! [`SamplerSession`] via [`SessionBackend`], a replicated
+//! [`ReplicaPool`], or a partitioned
+//! [`ShardedPool`](crate::ShardedPool)), then hands each request its own
+//! slot of the backend's [`PoolResponse`]. Fusion is a
 //! pure throughput lever — each request's samples are bit-identical to
 //! running it alone, because the engines key every RNG draw by the
 //! request's own `(seed, local id)` regardless of where the batcher packs
-//! it. [`MicroBatcher`] and [`FleetBatcher`] name the two instantiations.
+//! it. [`MicroBatcher`] and [`FleetBatcher`] name two of the
+//! instantiations; `Batcher<ShardedPool>` is the third.
+//!
+//! **Who records what**: the batcher records every request-level fact —
+//! admission, queue rejection, the queued interval, completion,
+//! deadline misses, `completed`, `queued_ms`, `service_ms` and
+//! `total_ms` — once per request. The backend records only batch-level
+//! facts (dispatch, attempt, super-step and launch spans, batch sizes,
+//! retries, hedges, hand-offs) plus the shed of any query it refuses at
+//! dispatch, whose typed error comes back in that query's result slot and
+//! is passed through as its outcome.
 //!
 //! **Batch formation** is width-class and deadline aware, not FIFO: the
 //! step planner sizes the shared transit array from one vertices-per-sample
@@ -24,7 +36,8 @@
 //! consuming device time. When the backend reports less than full health
 //! (a pool with replicas down), the batch cap shrinks proportionally and
 //! excess pending requests are shed lowest priority first with
-//! [`ServeError::Overloaded`]; a single session is always fully healthy.
+//! [`ServeError::Overloaded`]; a single session and a sharded pool are
+//! always fully healthy (a lost shard sheds only the queries homed on it).
 //! All of this is a pure function of the queue contents and the simulated
 //! clock, so serving schedules are bit-identical at any host thread count.
 //!
@@ -41,9 +54,7 @@ use crate::server::{BatchEngine, RequestOutcome};
 use crate::trace::{Obs, Span, SpanKind, Tracer};
 use nextdoor_core::session::{SamplerSession, SessionQuery};
 use nextdoor_core::tuning::{CacheConfig, TunerConfig};
-use nextdoor_core::{
-    validate_run, ClassMark, EngineStats, FaultReport, NextDoorError, SampleStore,
-};
+use nextdoor_core::{validate_run, ClassMark, FaultReport, NextDoorError, SampleStore};
 use nextdoor_gpu::GpuSpec;
 use nextdoor_graph::VertexId;
 
@@ -191,9 +202,6 @@ pub struct Response {
     pub store: SampleStore,
     /// Latency breakdown on the simulated clock.
     pub latency: RequestLatency,
-    /// Engine statistics of the fused batch (shared by every request in
-    /// it; the profile within is the batch's kernel-launch ring slice).
-    pub batch_stats: EngineStats,
     /// Faults the fused batch observed and survived.
     pub report: FaultReport,
 }
@@ -325,10 +333,12 @@ pub(crate) fn record_class_launches(
 }
 
 /// What a [`Batcher`] dispatches fused batches to: one warm session
-/// ([`SessionBackend`]) or a replicated pool ([`ReplicaPool`]). The batcher
-/// owns queueing, admission, shedding, formation and the per-request
-/// fan-out; the backend owns the device(s), the clock they run on and the
-/// span/metrics recorder, so a fleet's trace stays one ordered stream.
+/// ([`SessionBackend`]), a replicated pool ([`ReplicaPool`]) or a sharded
+/// pool ([`ShardedPool`](crate::ShardedPool)). The batcher owns queueing,
+/// admission, shedding, formation, the per-request fan-out and every
+/// request-level fact; the backend owns the device(s), the clock they run
+/// on and the span/metrics recorder, so a fleet's trace stays one ordered
+/// stream.
 pub trait Dispatch {
     /// The backend's simulated clock in ms (the session clock or the fleet
     /// clock): admission instants and deadlines are measured on it.
@@ -353,7 +363,10 @@ pub trait Dispatch {
     fn obs_mut(&mut self) -> &mut Obs;
 
     /// Runs one fused batch, recording the backend's own dispatch spans
-    /// and batch metrics, and brackets it on the backend's clock.
+    /// and batch metrics (never per-request ones), and brackets it on the
+    /// backend's clock. The response holds one result per query, in
+    /// order; an `Err` slot is a query the backend refused or shed, and
+    /// recorded as such.
     ///
     /// # Errors
     ///
@@ -365,11 +378,10 @@ pub trait Dispatch {
 }
 
 /// The single-session backend of a [`MicroBatcher`]: one warm
-/// [`SamplerSession`], its observation state and its launch count.
+/// [`SamplerSession`] and its observation state.
 pub struct SessionBackend {
     session: SamplerSession,
     obs: Obs,
-    launches: u64,
 }
 
 impl From<SamplerSession> for SessionBackend {
@@ -377,7 +389,6 @@ impl From<SamplerSession> for SessionBackend {
         SessionBackend {
             session,
             obs: Obs::default(),
-            launches: 0,
         }
     }
 }
@@ -405,7 +416,7 @@ impl Dispatch for SessionBackend {
 
     /// Runs the batch as one [`SamplerSession::query_fused`] call. The
     /// session clock is the dispatch clock, so class launch intervals map
-    /// with zero offset and the response's replica is always 0.
+    /// with zero offset.
     fn dispatch(&mut self, queries: &[SessionQuery]) -> Result<PoolResponse, ServeError> {
         let n = queries.len();
         let start_ms = self.session.sim_ms();
@@ -424,7 +435,6 @@ impl Dispatch for SessionBackend {
         self.obs.metrics.sim.batches += 1;
         match res {
             Ok(fused) => {
-                self.launches += fused.launches as u64;
                 let spec = self.session.gpu().spec();
                 record_class_launches(
                     &mut self.obs,
@@ -435,15 +445,7 @@ impl Dispatch for SessionBackend {
                     0.0,
                 );
                 self.obs.metrics.sim.batch_size.observe(n as f64);
-                Ok(PoolResponse {
-                    fused,
-                    replica: 0,
-                    batch: batch_seq,
-                    start_ms,
-                    end_ms,
-                    retries: 0,
-                    hedged: false,
-                })
+                Ok(PoolResponse::served(fused, batch_seq, start_ms, end_ms))
             }
             Err(e) => {
                 self.obs.metrics.sim.failed += n as u64;
@@ -499,8 +501,9 @@ pub type MicroBatcher = Batcher<SessionBackend>;
 pub type FleetBatcher = Batcher<ReplicaPool>;
 
 impl<D: Dispatch> Batcher<D> {
-    /// Wraps a backend (a [`SamplerSession`] or a [`ReplicaPool`]) in a
-    /// batcher with the given scheduling knobs.
+    /// Wraps a backend (a [`SamplerSession`], a [`ReplicaPool`] or a
+    /// [`ShardedPool`](crate::ShardedPool)) in a batcher with the given
+    /// scheduling knobs.
     ///
     /// # Errors
     ///
@@ -753,7 +756,15 @@ impl<D: Dispatch> Batcher<D> {
             }
         };
         let batch_size = batch.len();
-        for (p, store) in batch.into_iter().zip(pr.fused.per_query) {
+        for (p, result) in batch.into_iter().zip(pr.results) {
+            // The backend recorded the shed or rejection of an `Err` slot.
+            let store = match result {
+                Ok(store) => store,
+                Err(e) => {
+                    out.push((p.id, Err(e)));
+                    continue;
+                }
+            };
             let observed_ms = pr.end_ms - p.admit_ms;
             let late = deadline_of(&self.cfg, &p).filter(|&d| observed_ms > d);
             record_served(
@@ -777,8 +788,7 @@ impl<D: Dispatch> Batcher<D> {
                         total_ms: observed_ms,
                         batch_size,
                     },
-                    batch_stats: pr.fused.stats.clone(),
-                    report: pr.fused.report.clone(),
+                    report: pr.report.clone(),
                 }),
             };
             out.push((p.id, result));
@@ -813,6 +823,21 @@ impl<D: Dispatch> Batcher<D> {
     pub fn observe_wall_ms(&mut self, ms: f64) {
         self.backend.obs_mut().metrics.observe_wall_ms(ms);
     }
+
+    /// The underlying backend (a pool, or a [`SessionBackend`]).
+    pub fn pool(&self) -> &D {
+        &self.backend
+    }
+
+    /// Mutable access to the backend (e.g. to schedule chaos mid-run).
+    pub fn pool_mut(&mut self) -> &mut D {
+        &mut self.backend
+    }
+
+    /// Tears the batcher down, recovering the backend.
+    pub fn into_pool(self) -> D {
+        self.backend
+    }
 }
 
 impl<D: Dispatch + Send + 'static> BatchEngine for Batcher<D> {
@@ -835,7 +860,7 @@ impl MicroBatcher {
     /// requests means better amortisation of per-launch fixed costs.
     /// Requests shed before dispatch consume none.
     pub fn launches(&self) -> u64 {
-        self.backend.launches
+        self.metrics().sim.class_launches
     }
 
     /// Enables profile-guided autotuning and the cross-query hot-transit
@@ -868,16 +893,6 @@ impl MicroBatcher {
 }
 
 impl FleetBatcher {
-    /// The underlying pool.
-    pub fn pool(&self) -> &ReplicaPool {
-        &self.backend
-    }
-
-    /// Mutable access to the pool (e.g. to schedule chaos mid-run).
-    pub fn pool_mut(&mut self) -> &mut ReplicaPool {
-        &mut self.backend
-    }
-
     /// The full fleet report: the pool's [`ReplicaPool::report_core`] plus
     /// this batcher's degraded-mode intervals (an interval still open is
     /// closed at the current fleet clock).
@@ -889,11 +904,6 @@ impl FleetBatcher {
                 .push((start, self.backend.fleet_ms()));
         }
         rep
-    }
-
-    /// Tears the batcher down, recovering the pool.
-    pub fn into_pool(self) -> ReplicaPool {
-        self.backend
     }
 }
 

@@ -17,24 +17,29 @@
 //!   batch cap, per-request deadlines on the simulated clock (expired
 //!   requests are shed before touching the device), degradation shedding
 //!   when the backend loses capacity, and typed per-request errors
-//!   ([`ServeError`]). Its [`Dispatch`] backend is one of two:
+//!   ([`ServeError`]). It records every request-level fact (admission,
+//!   queue wait, completion, `service_ms`/`total_ms`); its [`Dispatch`]
+//!   backend records only batch-level ones and returns one
+//!   [`PoolResponse`] per batch: one result per query, in order. The
+//!   backend is one of three:
 //!   - [`SessionBackend`]: a lone warm session — [`MicroBatcher`];
 //!   - [`ReplicaPool`]: the fault-tolerant tier — [`FleetBatcher`]: N
 //!     session replicas of the same graph behind a deterministic router
 //!     with retry/backoff, hedging and per-replica circuit breakers
 //!     ([`CircuitBreaker`]), recording every recovery decision in a
 //!     [`FleetReport`]. All of it runs on the simulated fleet clock, so
-//!     chaos runs are bit-identical at any host thread count.
+//!     chaos runs are bit-identical at any host thread count;
+//!   - [`ShardedPool`]: the sharded tier — `Batcher<ShardedPool>`: the
+//!     graph **partitioned** across N devices instead of replicated, with
+//!     partition-aware routing, cross-shard walker hand-off in
+//!     deterministic super-steps, per-shard circuit breakers, and typed
+//!     [`ServeError::ShardLost`] shedding, in the query's own result slot,
+//!     when its home shard is permanently gone. Samples stay bit-identical
+//!     to single-device runs.
 //! * [`SampleServer`] is a scheduler thread that burst-collects concurrent
 //!   client requests into a batcher and mails each result back through a
 //!   [`Ticket`]. It is generic over a [`BatchEngine`], which every batcher
 //!   implements.
-//! * [`ShardedPool`] is the sharded tier: the graph **partitioned** across
-//!   N devices instead of replicated, with partition-aware request
-//!   routing, cross-shard walker hand-off in deterministic super-steps,
-//!   per-shard circuit breakers, and typed [`ServeError::ShardLost`]
-//!   shedding when a request's home shard is permanently gone. Samples
-//!   stay bit-identical to single-device runs.
 //!
 //! ```
 //! use nextdoor_core::api::{NextCtx, SamplingApp, Steps};
@@ -104,5 +109,5 @@ pub use metrics::{
 };
 pub use replica::{FleetReport, PoolConfig, PoolResponse, ReplicaPool, ReplicaStats};
 pub use server::{BatchEngine, RequestOutcome, SampleServer, ServeClient, Ticket};
-pub use shard::{ShardDispatch, ShardPoolConfig, ShardedPool};
+pub use shard::{ShardPoolConfig, ShardedPool};
 pub use trace::{write_fleet_trace, Span, SpanKind, Tracer};

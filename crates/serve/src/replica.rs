@@ -26,6 +26,11 @@
 //!   earlier completion wins. Results are bit-identical either way, so
 //!   hedging only ever improves the latency accounting.
 //!
+//! Each dispatch returns a [`PoolResponse`] with one result per query. The
+//! pool records batch-level facts only — attempt, dispatch, back-off,
+//! cool-down, hedge and launch spans, batch sizes, retries and hedges;
+//! the batcher records each request's queue wait, completion and latency.
+//!
 //! The pool reports its healthy replica count through
 //! [`Dispatch::health`]. When healthy capacity drops below demand the
 //! batcher above degrades gracefully instead of queueing without bound:
@@ -51,7 +56,7 @@ use nextdoor_core::api::SamplingApp;
 use nextdoor_core::multi_gpu::least_loaded_alive;
 use nextdoor_core::session::{FusedResult, SamplerSession, SessionQuery};
 use nextdoor_core::sharded::HANDOFF_BYTES_PER_WALKER;
-use nextdoor_core::{validate_run, FaultReport, NextDoorError};
+use nextdoor_core::{validate_run, FaultReport, NextDoorError, SampleStore};
 use nextdoor_gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor_graph::{Csr, VertexId};
 
@@ -207,35 +212,40 @@ struct Replica {
     stats: ReplicaStats,
 }
 
-/// A successfully dispatched batch, with the pool's fleet-clock
-/// bracketing of it. Also the result of every [`Dispatch::dispatch`]: a
-/// single session reports replica 0, no retries and no hedge, bracketed on
-/// its own clock.
+/// One dispatched batch's outcome, the result of every
+/// [`Dispatch::dispatch`]: one result per submitted query, in submission
+/// order, bracketed on the backend's clock. A session or replica pool
+/// fills every slot with `Ok`; a [`ShardedPool`](crate::ShardedPool) puts
+/// the typed error of a query it rejected or shed in that query's slot.
+/// Which replica served the batch, its retries and its hedge are recorded
+/// in the trace and the metrics registry, not here.
+#[derive(Debug)]
 pub struct PoolResponse {
-    /// The fused result (per-query stores, batch stats, fault report).
-    pub fused: FusedResult,
-    /// Replica whose result is being returned (the hedge replica when the
-    /// hedge won).
-    pub replica: usize,
-    /// The dispatch's sequence number in the pool's trace — the join key
-    /// between request-level spans and this batch's dispatch/attempt/launch
-    /// spans.
+    /// Per-query outcome, aligned with the submitted slice.
+    pub results: Vec<Result<SampleStore, ServeError>>,
+    /// Faults the batch observed and survived.
+    pub report: FaultReport,
+    /// The dispatch's sequence number in the backend's trace — the join
+    /// key between request-level spans and this batch's
+    /// dispatch/attempt/launch spans.
     pub batch: u64,
-    /// Fleet clock when the dispatch (first attempt) began.
+    /// Backend clock when the dispatch (first attempt) began.
     pub start_ms: f64,
-    /// Fleet clock when the batch completed, retries/backoff/hedging
+    /// Backend clock when the batch completed, retries/backoff/hedging
     /// included.
     pub end_ms: f64,
-    /// Re-dispatches this batch needed.
-    pub retries: usize,
-    /// Whether the batch was hedged onto a second replica.
-    pub hedged: bool,
 }
 
 impl PoolResponse {
-    /// Service span of the batch on the fleet clock.
-    pub fn service_ms(&self) -> f64 {
-        self.end_ms - self.start_ms
+    /// A batch whose every query was served by one fused run.
+    pub(crate) fn served(fused: FusedResult, batch: u64, start_ms: f64, end_ms: f64) -> Self {
+        PoolResponse {
+            results: fused.per_query.into_iter().map(Ok).collect(),
+            report: fused.report,
+            batch,
+            start_ms,
+            end_ms,
+        }
     }
 }
 
@@ -514,7 +524,7 @@ impl ReplicaPool {
             };
             match self.attempt(dev, queries, batch_seq) {
                 Ok(primary) => {
-                    let (fused, replica, end_ms, hedged) =
+                    let (fused, replica, end_ms) =
                         self.maybe_hedge(queries, primary, dev, start_ms, batch_seq);
                     self.obs.trace.push(
                         Span::new(SpanKind::Dispatch, start_ms, end_ms)
@@ -523,15 +533,7 @@ impl ReplicaPool {
                             .batch_size(fused.per_query.len())
                             .ok(true),
                     );
-                    return Ok(PoolResponse {
-                        fused,
-                        replica,
-                        start_ms,
-                        end_ms,
-                        retries,
-                        hedged,
-                        batch: batch_seq,
-                    });
+                    return Ok(PoolResponse::served(fused, batch_seq, start_ms, end_ms));
                 }
                 Err(e) if !retryable(&e) || retries >= self.cfg.max_retries => {
                     break ServeError::Sampling(e);
@@ -565,8 +567,8 @@ impl ReplicaPool {
     /// keep the earlier completion. The hedge is modelled as overlapping
     /// the primary's tail — it starts at `primary start + budget` — so the
     /// batch completes at the minimum of the two completion instants; the
-    /// fleet clock is rewound to it. Returns the kept result, its replica,
-    /// the batch's completion instant and whether a hedge was sent.
+    /// fleet clock is rewound to it. Returns the kept result, its replica
+    /// and the batch's completion instant.
     fn maybe_hedge(
         &mut self,
         queries: &[SessionQuery],
@@ -574,16 +576,16 @@ impl ReplicaPool {
         dev: usize,
         start_ms: f64,
         batch_seq: u64,
-    ) -> (FusedResult, usize, f64, bool) {
+    ) -> (FusedResult, usize, f64) {
         let primary_end_ms = self.fleet_ms;
         let Some(budget) = self.cfg.hedge_after_ms else {
-            return (primary, dev, primary_end_ms, false);
+            return (primary, dev, primary_end_ms);
         };
         if primary_end_ms - start_ms <= budget {
-            return (primary, dev, primary_end_ms, false);
+            return (primary, dev, primary_end_ms);
         }
         let Some(hedge_dev) = self.pick(Some(dev)) else {
-            return (primary, dev, primary_end_ms, false);
+            return (primary, dev, primary_end_ms);
         };
         self.replicas[hedge_dev].stats.hedges += 1;
         self.obs.metrics.sim.hedges += 1;
@@ -608,7 +610,7 @@ impl ReplicaPool {
                         "hedge must mirror the primary batch"
                     );
                     self.fleet_ms = hedge_end_ms;
-                    return (hedged, hedge_dev, hedge_end_ms, true);
+                    return (hedged, hedge_dev, hedge_end_ms);
                 }
             }
             Err(_) => {
@@ -626,7 +628,7 @@ impl ReplicaPool {
         // The primary finished first (or the hedge failed): its completion
         // stands, the hedge only burned spare capacity.
         self.fleet_ms = primary_end_ms;
-        (primary, dev, primary_end_ms, true)
+        (primary, dev, primary_end_ms)
     }
 }
 
@@ -698,6 +700,19 @@ mod tests {
         }]
     }
 
+    /// The replica that served `res`, read from its batch's dispatch span.
+    fn served_by(pool: &ReplicaPool, res: &PoolResponse) -> Option<usize> {
+        pool.trace()
+            .spans()
+            .iter()
+            .find(|s| s.kind == SpanKind::Dispatch && s.batch == Some(res.batch))
+            .and_then(|s| s.replica)
+    }
+
+    fn samples(res: &PoolResponse) -> Vec<Vec<VertexId>> {
+        res.results[0].as_ref().unwrap().final_samples()
+    }
+
     #[test]
     fn routes_to_least_loaded_replica() {
         let mut pool = pool_with_plans(
@@ -707,7 +722,8 @@ mod tests {
         let a = pool.dispatch(&queries(1)).unwrap();
         let b = pool.dispatch(&queries(2)).unwrap();
         assert_ne!(
-            a.replica, b.replica,
+            served_by(&pool, &a),
+            served_by(&pool, &b),
             "second batch goes to the idle replica"
         );
         let rep = pool.report_core();
@@ -727,11 +743,11 @@ mod tests {
             PoolConfig::default(),
         );
         let got = pool.dispatch(&queries(7)).unwrap();
-        assert_eq!(got.replica, 1, "survivor served the batch");
-        assert_eq!(got.retries, 1);
+        assert_eq!(served_by(&pool, &got), Some(1), "survivor served the batch");
+        assert_eq!(pool.metrics().sim.retries, 1);
         assert_eq!(
-            got.fused.per_query[0].final_samples(),
-            want.fused.per_query[0].final_samples(),
+            samples(&got),
+            samples(&want),
             "replica choice never changes the samples"
         );
         let rep = pool.report_core();
@@ -779,7 +795,10 @@ mod tests {
         };
         let mut pool = pool_with_plans(vec![storm], cfg);
         let res = pool.dispatch(&queries(3)).unwrap();
-        assert!(res.retries > 0, "the storm forced serving-level retries");
+        assert!(
+            pool.metrics().sim.retries > 0,
+            "the storm forced serving-level retries"
+        );
         let rep = pool.report_core();
         assert!(rep.replicas[0].trips >= 1, "breaker tripped");
         assert!(rep.replicas[0].probes >= 1, "half-open probes happened");
@@ -796,10 +815,7 @@ mod tests {
         // The recovered samples equal a fault-free run's.
         let mut clean = pool_with_plans(vec![FaultPlan::new()], PoolConfig::default());
         let want = clean.dispatch(&queries(3)).unwrap();
-        assert_eq!(
-            res.fused.per_query[0].final_samples(),
-            want.fused.per_query[0].final_samples()
-        );
+        assert_eq!(samples(&res), samples(&want));
     }
 
     #[test]
@@ -810,7 +826,7 @@ mod tests {
         };
         let mut pool = pool_with_plans(vec![FaultPlan::new(), FaultPlan::new()], cfg);
         let res = pool.dispatch(&queries(9)).unwrap();
-        assert!(res.hedged);
+        assert_eq!(pool.metrics().sim.hedges, 1);
         let rep = pool.report_core();
         assert_eq!(rep.hedges, 1);
         assert_eq!(
@@ -820,10 +836,7 @@ mod tests {
         );
         let mut clean = pool_with_plans(vec![FaultPlan::new()], PoolConfig::default());
         let want = clean.dispatch(&queries(9)).unwrap();
-        assert_eq!(
-            res.fused.per_query[0].final_samples(),
-            want.fused.per_query[0].final_samples()
-        );
+        assert_eq!(samples(&res), samples(&want));
     }
 
     #[test]

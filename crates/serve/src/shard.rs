@@ -1,6 +1,8 @@
 //! The sharded serving tier: partition-aware routing over a
 //! [`ShardedSampler`] fleet, with per-shard circuit breakers, shard-loss
-//! degradation and shard-labelled observability.
+//! degradation and shard-labelled observability. [`ShardedPool`] is a
+//! [`Dispatch`] backend: `Batcher<ShardedPool>` serves it like any other
+//! tier, and [`ShardedPool::dispatch`] can also be driven directly.
 //!
 //! Where the replicated tier ([`ReplicaPool`](crate::ReplicaPool)) holds N
 //! full copies of the graph and routes whole batches to any healthy
@@ -13,14 +15,18 @@
 //! **Admission** is partition-aware: a query whose home shard (the owner
 //! of its first seed vertex) is permanently lost is shed with
 //! [`ServeError::ShardLost`]; one whose home shard's circuit breaker is
-//! open is shed with [`ServeError::Overloaded`]. Admitted queries fuse
-//! into one batch dispatch across the whole fleet.
+//! open is shed with [`ServeError::Overloaded`]. The shed query's error
+//! comes back in its own slot of the [`PoolResponse`], which a batcher
+//! passes through as that request's outcome. Admitted queries fuse into
+//! one batch dispatch across the whole fleet.
 //!
 //! **Degradation**: a shard's device loss does not fail the fleet — its
 //! walkers terminate deterministically at the shard boundary (counted as
 //! `walkers_lost`), its breaker goes [`Dead`](crate::BreakerState::Dead),
 //! and subsequent queries homed there are shed as `ShardLost` while every
-//! other query keeps being served by the survivors.
+//! other query keeps being served by the survivors. The survivors keep
+//! their whole capacity, so [`Dispatch::health`] always reports full
+//! health and a batcher above never shrinks its batch cap.
 //!
 //! **Observability**: each dispatch records a [`SpanKind::Dispatch`] span
 //! plus per-super-step [`SpanKind::SuperStep`] spans (one per shard that
@@ -29,19 +35,23 @@
 //! registry gains `handoffs`, `super_steps` and `shard_shed` counters; and
 //! [`ShardedPool::report`] emits the same [`FleetReport`] the chaos
 //! harness golden-pins for the replicated tier, its shedding, hand-off and
-//! super-step counters read from that registry.
+//! super-step counters read from that registry. The pool records only
+//! batch-level facts: request-level ones (`completed`, `service_ms`,
+//! `total_ms`, queue and completion spans) are recorded by the batcher,
+//! once per request, so a pool driven directly records none of them.
 
+use crate::batcher::Dispatch;
 use crate::error::ServeError;
 use crate::health::{BreakerConfig, CircuitBreaker};
 use crate::metrics::ServeMetrics;
-use crate::replica::{FleetReport, ReplicaStats};
+use crate::replica::{FleetReport, PoolResponse, ReplicaStats};
 use crate::trace::{Obs, Span, SpanKind, Tracer};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_core::session::SessionQuery;
 use nextdoor_core::sharded::{ShardedFusedResult, ShardedSampler};
-use nextdoor_core::{validate_run, NextDoorError, SampleStore};
+use nextdoor_core::{validate_run, FaultReport, NextDoorError, SampleStore};
 use nextdoor_gpu::{FaultPlan, GpuSpec};
-use nextdoor_graph::{Csr, PartitionStats};
+use nextdoor_graph::{Csr, PartitionStats, VertexId};
 
 /// Tuning knobs of a [`ShardedPool`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,25 +72,6 @@ impl Default for ShardPoolConfig {
             breaker: BreakerConfig::default(),
         }
     }
-}
-
-/// One batch dispatch's outcome: per-query results in submission order
-/// (shed queries carry their typed error) plus the batch-level sharding
-/// telemetry.
-#[derive(Debug)]
-pub struct ShardDispatch {
-    /// Per-query outcome, aligned with the submitted slice.
-    pub results: Vec<Result<SampleStore, ServeError>>,
-    /// The dispatch's batch sequence number in the trace.
-    pub batch: u64,
-    /// Fleet clock when the dispatch began.
-    pub start_ms: f64,
-    /// Fleet clock when the batch completed.
-    pub end_ms: f64,
-    /// Walkers handed between shards during the batch.
-    pub handoffs: u64,
-    /// Walkers terminated by shard loss during the batch.
-    pub walkers_lost: u64,
 }
 
 /// Partition-aware serving over a graph sharded across N devices. See the
@@ -177,19 +168,20 @@ impl ShardedPool {
 
     /// Routes and runs one batch of queries.
     ///
-    /// Each query is validated on its own (an invalid one gets
-    /// [`ServeError::Sampling`] in its slot) and admitted against its home
-    /// shard (the owner of its first seed vertex): dead shard →
-    /// [`ServeError::ShardLost`], open breaker → [`ServeError::Overloaded`].
-    /// Admitted queries run as one fused sharded batch, bit-identical per
-    /// query to standalone runs.
+    /// Each query is validated on its own ([`Dispatch::validate`]; an
+    /// invalid one gets [`ServeError::Sampling`] in its slot) and admitted
+    /// against its home shard (the owner of its first seed vertex): dead
+    /// shard → [`ServeError::ShardLost`], open breaker →
+    /// [`ServeError::Overloaded`]. The pool records each shed. Admitted
+    /// queries run as one fused sharded batch, bit-identical per query to
+    /// standalone runs.
     ///
     /// # Errors
     ///
     /// An empty batch, or a batch-level engine failure (genuine OOM, retry
     /// exhaustion), fails the whole call; per-query rejections and sheds
-    /// are typed inside [`ShardDispatch::results`].
-    pub fn dispatch(&mut self, queries: &[SessionQuery]) -> Result<ShardDispatch, ServeError> {
+    /// are typed inside [`PoolResponse::results`].
+    pub fn dispatch(&mut self, queries: &[SessionQuery]) -> Result<PoolResponse, ServeError> {
         if queries.is_empty() {
             return Err(ServeError::Sampling(NextDoorError::EmptyInit));
         }
@@ -202,13 +194,7 @@ impl ShardedPool {
             (0..queries.len()).map(|_| None).collect();
         let mut admitted: Vec<usize> = Vec::with_capacity(queries.len());
         for (qi, q) in queries.iter().enumerate() {
-            // Width 0 passes `validate_run` but has no home shard.
-            let valid = if q.init.first().is_none_or(Vec::is_empty) {
-                Err(NextDoorError::EmptyInit)
-            } else {
-                validate_run(self.sampler.graph(), self.sampler.app(), &q.init)
-            };
-            if let Err(e) = valid {
+            if let Err(e) = self.validate(&q.init) {
                 results[qi] = Some(Err(ServeError::Sampling(e)));
                 continue;
             }
@@ -243,8 +229,7 @@ impl ShardedPool {
             admitted.push(qi);
         }
 
-        let mut handoffs = 0u64;
-        let mut walkers_lost = 0u64;
+        let mut report = FaultReport::default();
         if !admitted.is_empty() {
             for &qi in &admitted {
                 let home = self.sampler.home_shard(&queries[qi].init[0]);
@@ -254,9 +239,7 @@ impl ShardedPool {
                 admitted.iter().map(|&qi| queries[qi].clone()).collect();
             let before_dead: Vec<bool> = (0..shards).map(|s| self.sampler.shard_lost(s)).collect();
             let fused = self.sampler.query_fused(&batch_queries)?;
-            handoffs = fused.handoffs;
-            walkers_lost = fused.walkers_lost;
-            self.walkers_lost += walkers_lost;
+            self.walkers_lost += fused.walkers_lost;
             self.record_batch(batch, start_ms, &fused, admitted.len());
 
             // Per-shard health: a shard that died during the batch goes
@@ -279,26 +262,26 @@ impl ShardedPool {
             for (slot, store) in admitted.iter().zip(fused.per_query) {
                 results[*slot] = Some(Ok(store));
             }
+            report = fused.report;
         }
 
-        let end_ms = self.fleet_ms();
         self.batches += 1;
         self.requests += queries.len() as u64;
         // Every slot was filled: shed/rejected at admission or by the fused
         // run over `admitted`.
         debug_assert!(results.iter().all(Option::is_some));
-        Ok(ShardDispatch {
+        Ok(PoolResponse {
             results: results.into_iter().flatten().collect(),
+            report,
             batch,
             start_ms,
-            end_ms,
-            handoffs,
-            walkers_lost,
+            end_ms: self.fleet_ms(),
         })
     }
 
-    /// Records the dispatch, super-step and hand-off spans plus the metric
-    /// observations of one completed batch.
+    /// Records the dispatch, super-step and hand-off spans plus the
+    /// batch-level metrics of one completed batch. Request-level facts
+    /// (`completed`, `service_ms`, `total_ms`) are the batcher's.
     fn record_batch(
         &mut self,
         batch: u64,
@@ -312,10 +295,7 @@ impl ShardedPool {
         m.class_launches += fused.launches as u64;
         m.handoffs += fused.handoffs;
         m.super_steps += fused.super_steps.len() as u64;
-        m.completed += admitted as u64;
         m.batch_size.observe(admitted as f64);
-        m.service_ms.observe(end_ms - start_ms);
-        m.total_ms.observe(end_ms - start_ms);
         self.obs.trace.push(
             Span::new(SpanKind::Dispatch, start_ms, end_ms)
                 .batch(batch)
@@ -382,6 +362,40 @@ impl ShardedPool {
     }
 }
 
+impl Dispatch for ShardedPool {
+    fn now_ms(&self) -> f64 {
+        self.fleet_ms()
+    }
+
+    /// [`validate_run`], plus a check that the request has a home shard:
+    /// width 0 passes `validate_run` but owns no seed vertex.
+    fn validate(&self, init: &[Vec<VertexId>]) -> Result<(), NextDoorError> {
+        if init.first().is_none_or(Vec::is_empty) {
+            return Err(NextDoorError::EmptyInit);
+        }
+        validate_run(self.sampler.graph(), self.sampler.app(), init)
+    }
+
+    /// Always full health: a lost shard sheds the queries homed on it at
+    /// dispatch, and the survivors keep their whole capacity, so the
+    /// batcher never shrinks its batch cap for a sharded pool.
+    fn health(&self) -> (usize, usize) {
+        (self.num_shards(), self.num_shards())
+    }
+
+    fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
+    fn obs_mut(&mut self) -> &mut Obs {
+        &mut self.obs
+    }
+
+    fn dispatch(&mut self, queries: &[SessionQuery]) -> Result<PoolResponse, ServeError> {
+        ShardedPool::dispatch(self, queries)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,6 +440,14 @@ mod tests {
         (p, g)
     }
 
+    /// Hand-offs of `qs` on a fresh sampler placed like `pool(shards)`.
+    fn twin_handoffs(g: &Csr, shards: usize, qs: &[SessionQuery]) -> u64 {
+        let seed = ShardPoolConfig::default().placement_seed;
+        let mut twin =
+            ShardedSampler::new(GpuSpec::small(), g.clone(), Box::new(Walk), shards, seed).unwrap();
+        twin.query_fused(qs).unwrap().handoffs
+    }
+
     fn queries(n: usize) -> Vec<SessionQuery> {
         (0..n)
             .map(|i| SessionQuery {
@@ -451,14 +473,15 @@ mod tests {
         }
         assert!(d.end_ms > d.start_ms);
         assert!(p.metrics().sim.super_steps > 0);
-        assert_eq!(p.metrics().sim.handoffs, d.handoffs);
+        assert_eq!(p.metrics().sim.handoffs, twin_handoffs(&g, 3, &qs));
         assert!(p.trace().count(SpanKind::SuperStep) > 0);
     }
 
     #[test]
     fn handoff_spans_conserve_walkers() {
-        let (mut p, _g) = pool(4);
-        let d = p.dispatch(&queries(4)).unwrap();
+        let (mut p, g) = pool(4);
+        p.dispatch(&queries(4)).unwrap();
+        let handoffs = twin_handoffs(&g, 4, &queries(4));
         let span_walkers: u64 = p
             .trace()
             .spans()
@@ -466,11 +489,11 @@ mod tests {
             .filter(|s| s.kind == SpanKind::Handoff)
             .map(|s| s.batch_size.unwrap() as u64)
             .sum();
-        assert_eq!(span_walkers, d.handoffs);
-        assert_eq!(p.report().handoffs, d.handoffs);
+        assert_eq!(span_walkers, handoffs);
+        assert_eq!(p.report().handoffs, handoffs);
         assert_eq!(
             p.report().handoff_bytes,
-            d.handoffs * nextdoor_core::sharded::HANDOFF_BYTES_PER_WALKER
+            handoffs * nextdoor_core::sharded::HANDOFF_BYTES_PER_WALKER
         );
     }
 

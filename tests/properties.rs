@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use nextdoor::apps::{DeepWalk, KHop, Layer, Node2Vec};
 use nextdoor::core::engine::unique::dedup_values;
 use nextdoor::core::multi_gpu::run_nextdoor_multi_gpu_with_faults;
-use nextdoor::core::session::SamplerSession;
+use nextdoor::core::session::{SamplerSession, SessionQuery};
 use nextdoor::core::tuning::{StepEngine, TuningPlan};
 use nextdoor::core::{
     run_cpu, run_nextdoor, NextDoorError, ProfileSummary, SamplingApp, NULL_VERTEX,
@@ -14,7 +14,10 @@ use nextdoor::gpu::algorithms::{compact, exclusive_scan, histogram, radix_sort_p
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor::graph::gen::{rmat, RmatParams};
 use nextdoor::graph::{GraphBuilder, VertexId};
-use nextdoor::serve::{FleetBatcher, PoolConfig, ReplicaPool, Request, ServeConfig};
+use nextdoor::serve::{
+    Batcher, Dispatch, FleetBatcher, MicroBatcher, PoolConfig, PoolResponse, ReplicaPool, Request,
+    ServeConfig, ServeError, ShardPoolConfig, ShardedPool,
+};
 
 /// An arbitrary fault script: any combination of a failed allocation, a
 /// transient kernel fault and a whole-device loss, at arbitrary points.
@@ -407,5 +410,119 @@ proptest! {
     ) {
         let json: String = picks.iter().map(|&i| REPORT_TOKENS[i]).collect();
         let _ = ProfileSummary::from_kernel_report_json(&json);
+    }
+}
+
+/// An arbitrary request shape: in-range roots of one width (most often),
+/// no samples, width 0, or any widths and roots up to 32 past the end of
+/// a 128-vertex graph (ragged and out-of-range ones).
+fn arb_init() -> impl Strategy<Value = Vec<Vec<VertexId>>> {
+    (
+        0usize..7,
+        1usize..3,
+        proptest::collection::vec(proptest::collection::vec(0u32..160, 0..3), 1..6),
+    )
+        .prop_map(|(shape, width, raw)| match shape {
+            0..=2 => raw
+                .iter()
+                .map(|s| {
+                    (0..width)
+                        .map(|j| s.get(j).copied().unwrap_or(j as u32) % 128)
+                        .collect()
+                })
+                .collect(),
+            3 => Vec::new(),
+            4 => vec![Vec::new(); raw.len()],
+            _ => raw,
+        })
+}
+
+/// What a caller sees of one query: its samples, or the typed error.
+type Outcome = Result<Vec<Vec<VertexId>>, ServeError>;
+
+/// Submits every query to `batcher` and drains it. A rejected submission
+/// is that query's outcome.
+fn serve_all<D: Dispatch>(mut batcher: Batcher<D>, queries: &[SessionQuery]) -> Vec<Outcome> {
+    let mut outcomes: Vec<Option<Outcome>> = vec![None; queries.len()];
+    let mut ids = Vec::new();
+    for (qi, q) in queries.iter().enumerate() {
+        match batcher.submit(Request::new(q.init.clone(), q.seed)) {
+            Ok(id) => ids.push((id, qi)),
+            Err(e) => outcomes[qi] = Some(Err(e)),
+        }
+    }
+    for (id, outcome) in batcher.drain() {
+        let qi = ids
+            .iter()
+            .find(|(i, _)| *i == id)
+            .expect("an admitted id")
+            .1;
+        outcomes[qi] = Some(outcome.map(|resp| resp.store.final_samples()));
+    }
+    outcomes
+        .into_iter()
+        .map(|o| o.expect("every query has an outcome"))
+        .collect()
+}
+
+/// The outcomes of one direct dispatch of the whole slice: a whole-batch
+/// error is every query's outcome.
+fn dispatched(res: Result<PoolResponse, ServeError>, n: usize) -> Vec<Outcome> {
+    match res {
+        Ok(pr) => pr
+            .results
+            .into_iter()
+            .map(|r| r.map(|s| s.final_samples()))
+            .collect(),
+        Err(e) => vec![Err(e); n],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Queries are a public input: any init shape, through any serving
+    /// backend, is served with the single-device samples or rejected with
+    /// a typed error, never a panic and never different samples.
+    #[test]
+    fn arbitrary_queries_serve_or_fail_typed_on_every_backend(
+        inits in proptest::collection::vec(arb_init(), 1..5),
+        seed in 0u64..500,
+    ) {
+        let g = rmat(7, 900, RmatParams::SKEWED, 5);
+        let app = || -> Box<dyn SamplingApp + Send> { Box::new(KHop::new(vec![3, 2])) };
+        let spec = GpuSpec::small();
+        let queries: Vec<SessionQuery> = inits
+            .into_iter()
+            .enumerate()
+            .map(|(i, init)| SessionQuery { init, seed: seed + i as u64 })
+            .collect();
+        let cfg = ServeConfig::default();
+        let replicas = || ReplicaPool::replicate(&spec, 2, &g, app, PoolConfig::default()).unwrap();
+        let shards = || ShardedPool::new(spec.clone(), g.clone(), app(), ShardPoolConfig::default())
+            .unwrap();
+        let session = SamplerSession::new(spec.clone(), g.clone(), app()).unwrap();
+        let backends = [
+            ("session batcher", serve_all(MicroBatcher::new(session, cfg).unwrap(), &queries)),
+            ("fleet batcher", serve_all(FleetBatcher::new(replicas(), cfg).unwrap(), &queries)),
+            ("shard batcher", serve_all(Batcher::<ShardedPool>::new(shards(), cfg).unwrap(), &queries)),
+            ("replica dispatch", dispatched(replicas().dispatch(&queries), queries.len())),
+            ("shard dispatch", dispatched(shards().dispatch(&queries), queries.len())),
+        ];
+        for (backend, outcomes) in &backends {
+            prop_assert_eq!(outcomes.len(), queries.len());
+            for (q, outcome) in queries.iter().zip(outcomes) {
+                if let Ok(samples) = outcome {
+                    let mut gpu = Gpu::new(spec.clone());
+                    let solo = run_nextdoor(&mut gpu, &g, app().as_ref(), &q.init, q.seed);
+                    let solo = solo.map(|r| r.store.final_samples());
+                    prop_assert!(
+                        Ok(samples) == solo.as_ref(),
+                        "{backend}: init {:?} served {samples:?}, alone {solo:?}",
+                        q.init
+                    );
+                }
+            }
+        }
     }
 }

@@ -10,7 +10,8 @@ use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor::graph::{Csr, Dataset, VertexId};
 use nextdoor::serve::{
     BatchEngine, Batcher, Dispatch, MicroBatcher, PoolConfig, ReplicaPool, Request, RequestId,
-    RequestOutcome, SampleServer, ServeConfig, ServeError, SessionBackend,
+    RequestOutcome, SampleServer, ServeConfig, ServeError, SessionBackend, ShardPoolConfig,
+    ShardedPool,
 };
 
 fn workload() -> (Csr, Vec<Vec<Vec<VertexId>>>) {
@@ -229,6 +230,23 @@ fn admission_control_rejects_with_typed_errors() {
     )
     .unwrap();
     check_admission::<ReplicaPool>(pool, &inits);
+    let sharded = || {
+        ShardedPool::new(
+            GpuSpec::small(),
+            graph.clone(),
+            Box::new(KHop::new(vec![3, 2])),
+            ShardPoolConfig::default(),
+        )
+        .unwrap()
+    };
+    check_admission::<ShardedPool>(sharded(), &inits);
+    // A width-0 request has no home shard: rejected before it queues.
+    let mut batcher = Batcher::<ShardedPool>::new(sharded(), ServeConfig::default()).unwrap();
+    assert_eq!(
+        batcher.submit(Request::new(vec![vec![]; 4], 1)).err(),
+        Some(ServeError::Sampling(NextDoorError::EmptyInit))
+    );
+    assert_eq!(batcher.pending_len(), 0);
 }
 
 /// The admission contract every backend shares: a full queue, invalid

@@ -15,18 +15,26 @@
 //!   `ServeError::ShardLost` while survivors keep serving, and ones homed
 //!   on a shard whose breaker is open with `ServeError::Overloaded`;
 //! * **typed rejection**: an app a shard cannot run bit-identically is
-//!   refused at construction with `NextDoorError::ShardUnsupported`.
+//!   refused at construction with `NextDoorError::ShardUnsupported`;
+//! * **one backend contract**: a `Batcher<ShardedPool>` returns exactly
+//!   what direct `ShardedPool::dispatch` returns, and records each
+//!   request's lifecycle once.
 
 use proptest::prelude::*;
 
 use nextdoor::apps::{DeepWalk, KHop, Layer, Node2Vec};
 use nextdoor::core::api::{NextCtx, Steps};
 use nextdoor::core::session::SessionQuery;
-use nextdoor::core::{run_nextdoor, NextDoorError, SampleStore, SamplingApp, ShardedSampler};
+use nextdoor::core::{
+    initial_samples_random, run_nextdoor, NextDoorError, SampleStore, SamplingApp, ShardedSampler,
+};
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor::graph::gen::{rmat, RmatParams};
 use nextdoor::graph::{Csr, GraphBuilder, VertexId};
-use nextdoor::serve::{BreakerConfig, ServeError, ShardPoolConfig, ShardedPool, SpanKind};
+use nextdoor::serve::{
+    Batcher, BreakerConfig, Request, ServeConfig, ServeError, ShardPoolConfig, ShardedPool,
+    SpanKind,
+};
 
 /// Everything a query observes of its own samples.
 fn digest(store: &SampleStore) -> String {
@@ -286,8 +294,19 @@ fn handoffs_agree_across_marks_spans_metrics_and_report() {
             seed: 70 + u64::from(i),
         })
         .collect();
-    let d = pool.dispatch(&queries).unwrap();
-    assert!(d.handoffs > 0, "4 shards over an R-MAT graph must hand off");
+    pool.dispatch(&queries).unwrap();
+    // The same batch on an identically placed sampler hands off exactly
+    // the same walkers.
+    let mut twin = ShardedSampler::new(
+        GpuSpec::small(),
+        rmat(8, 2000, RmatParams::SKEWED, 3),
+        Box::new(KHop::new(vec![3, 2])),
+        4,
+        ShardPoolConfig::default().placement_seed,
+    )
+    .unwrap();
+    let handoffs = twin.query_fused(&queries).unwrap().handoffs;
+    assert!(handoffs > 0, "4 shards over an R-MAT graph must hand off");
 
     let span_walkers: u64 = pool
         .trace()
@@ -297,16 +316,12 @@ fn handoffs_agree_across_marks_spans_metrics_and_report() {
         .map(|s| s.batch_size.expect("handoff spans carry walker counts") as u64)
         .sum();
     let report = pool.report();
-    assert_eq!(span_walkers, d.handoffs, "spans vs dispatch");
-    assert_eq!(report.handoffs, d.handoffs, "report vs dispatch");
-    assert_eq!(
-        pool.metrics().sim.handoffs,
-        d.handoffs,
-        "metrics vs dispatch"
-    );
+    assert_eq!(span_walkers, handoffs, "spans vs marks");
+    assert_eq!(report.handoffs, handoffs, "report vs marks");
+    assert_eq!(pool.metrics().sim.handoffs, handoffs, "metrics vs marks");
     assert_eq!(
         report.handoff_bytes,
-        d.handoffs * nextdoor::core::sharded::HANDOFF_BYTES_PER_WALKER,
+        handoffs * nextdoor::core::sharded::HANDOFF_BYTES_PER_WALKER,
         "every hand-off is charged the same wire cost"
     );
     assert_eq!(
@@ -528,5 +543,118 @@ fn lost_shard_sheds_typed_while_survivors_serve() {
         digest(served),
         digest(d2.results[1].as_ref().expect("replay serves too")),
         "degraded results replay bit-identically"
+    );
+}
+
+#[test]
+fn batcher_over_a_sharded_pool_serves_like_direct_dispatch() {
+    // Two identical 3-shard pools lose shard 1 two launches into the
+    // second of three waves. One serves through a batcher, one wave per
+    // drain; its twin dispatches each wave directly. The batcher adds the
+    // request lifecycle and changes nothing else.
+    let graph = rmat(8, 2000, RmatParams::SKEWED, 3);
+    let pool = || {
+        ShardedPool::new(
+            GpuSpec::small(),
+            graph.clone(),
+            Box::new(DeepWalk::new(4)),
+            ShardPoolConfig {
+                num_shards: 3,
+                ..ShardPoolConfig::default()
+            },
+        )
+        .unwrap()
+    };
+    let wave_len = 6;
+    let cfg = ServeConfig {
+        max_batch: wave_len,
+        max_queue: wave_len,
+        default_deadline_ms: None,
+    };
+    let mut batcher = Batcher::<ShardedPool>::new(pool(), cfg).unwrap();
+    let mut twin = pool();
+    let waves: Vec<Vec<SessionQuery>> = (0..3u64)
+        .map(|w| {
+            (0..wave_len as u64)
+                .map(|i| {
+                    let seed = 900 + w * 100 + i;
+                    SessionQuery {
+                        init: initial_samples_random(&graph, 8, 1, seed).unwrap(),
+                        seed,
+                    }
+                })
+                .collect()
+        })
+        .collect();
+
+    let (mut served, mut lost, mut kept) = (0u64, 0usize, 0usize);
+    for (w, wave) in waves.iter().enumerate() {
+        if w == 1 {
+            let plan = FaultPlan::new().lose_device_at_launch(2);
+            batcher.pool_mut().schedule_faults(1, plan.clone());
+            twin.schedule_faults(1, plan);
+        }
+        for q in wave {
+            batcher
+                .submit(Request::new(q.init.clone(), q.seed))
+                .unwrap();
+        }
+        let mut outcomes = batcher.drain();
+        outcomes.sort_by_key(|(id, _)| *id);
+        let direct = twin.dispatch(wave).unwrap();
+        assert_eq!(outcomes.len(), wave.len());
+        for ((q, (_, got)), want) in wave.iter().zip(&outcomes).zip(&direct.results) {
+            match (got, want) {
+                (Ok(resp), Ok(store)) => {
+                    served += 1;
+                    assert_eq!(digest(&resp.store), digest(store), "seed {}", q.seed);
+                    let mut gpu = Gpu::new(GpuSpec::small());
+                    let solo =
+                        run_nextdoor(&mut gpu, &graph, &DeepWalk::new(4), &q.init, q.seed).unwrap();
+                    if w == 0 {
+                        assert_eq!(digest(&resp.store), digest(&solo.store), "seed {}", q.seed);
+                        continue;
+                    }
+                    // Once shard 1 is gone, the walks that never needed it
+                    // keep their single-device samples.
+                    let want = solo.store.final_samples();
+                    for (s, got) in resp.store.final_samples().iter().enumerate() {
+                        if want[s].iter().all(|&v| twin.sampler().owner_of(v) != 1) {
+                            assert_eq!(got, &want[s], "seed {} sample {s}", q.seed);
+                            kept += 1;
+                        }
+                    }
+                }
+                (Err(e), Err(want_e)) => {
+                    assert_eq!(e, want_e);
+                    assert_eq!(
+                        e,
+                        &ServeError::ShardLost {
+                            shard: 1,
+                            shards: 3
+                        }
+                    );
+                    lost += 1;
+                }
+                (got, want) => panic!("seed {}: batcher {got:?} vs direct {want:?}", q.seed),
+            }
+        }
+    }
+    assert!(lost > 0, "queries homed on the lost shard are shed");
+    assert!(kept > 0, "some walks avoid the lost shard");
+    assert!(twin.sampler().shard_lost(1) && batcher.pool().sampler().shard_lost(1));
+    assert_eq!(batcher.pool().report().digest(), twin.report().digest());
+
+    // Request facts are recorded once per request, by the batcher alone.
+    let m = batcher.metrics();
+    let submitted = waves.iter().map(Vec::len).sum::<usize>() as u64;
+    assert_eq!(m.sim.admitted, submitted);
+    assert_eq!(m.sim.completed, served);
+    assert_eq!(m.sim.service_ms.count(), served);
+    assert_eq!(m.sim.shard_shed, lost as u64);
+    assert_eq!(
+        twin.metrics().sim.completed,
+        0,
+        "direct dispatch records none"
     );
 }
